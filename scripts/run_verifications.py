@@ -32,17 +32,18 @@ from gwcalc.degeneration import (  # noqa: E402
     testbed_cut,
 )
 from gwcalc.quantum import gw_invariant, rc_certificate  # noqa: E402
-from gwcalc.relative import rel_p1_two_point  # noqa: E402
+from gwcalc.relative import fiber_two_point  # noqa: E402
 
 
 def two_point_table(limit=6):
+    one = ring.unit(ring.point_space())
     rows = {}
     ok = True
     for s in range(1, limit + 1):
-        rows[str(s)] = [str(rel_p1_two_point(s, d)) for d in range(1, limit + 1)]
+        rows[str(s)] = [str(fiber_two_point(s, d, one, one)) for d in range(1, limit + 1)]
         for d in range(1, limit + 1):
             expected = Fraction(1, math.factorial(s)) if d == s else 0
-            ok = ok and rel_p1_two_point(s, d) == expected
+            ok = ok and fiber_two_point(s, d, one, one) == expected
     return {"table": rows, "ok": ok}
 
 

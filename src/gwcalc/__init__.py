@@ -1,69 +1,3 @@
 """Exact genus-zero Gromov-Witten computations on small testbed spaces."""
 
-from .errors import GWError, HypothesisViolated, Inapplicable, UnsupportedQuery
-from .ring import (
-    DivisorDescriptor,
-    RingElement,
-    Space,
-    basis,
-    by_label,
-    cup,
-    dual_basis,
-    grassmannian,
-    hyperplane_divisor,
-    integrate,
-    make_space,
-    point_class,
-    point_space,
-    projective_space,
-    shriek_pushforward,
-    unit,
-)
-from .partitions import (
-    InvariantKey,
-    Ordering,
-    WeightedPair,
-    WeightedPartition,
-    delta_factor,
-    key_compare,
-    lex_compare,
-    size_compare,
-    weighted_partition,
-)
-from .quantum import (
-    AbsoluteQuery,
-    QuantumClass,
-    Witness,
-    gw_invariant,
-    rc_certificate,
-    rim_hook_product,
-    virtual_dimension,
-    wdvv_nd,
-)
-from .relative import (
-    BundleSpec,
-    Pullback,
-    RelQuery,
-    ZeroSection,
-    empty_partition_divisor,
-    fiber_one_relative,
-    fiber_two_point,
-    fiber_vanishing,
-    min_normal_chern,
-    rel_p1_two_point,
-    relative_invariant,
-)
-from .degeneration import (
-    AmbientInsertion,
-    CutSpec,
-    ShriekInsertion,
-    comparison_partitions,
-    comparison_rhs,
-    enumerate_terms,
-    rc_lift,
-    solve_relative,
-    testbed_cut,
-    verify_comparison,
-)
-
 __version__ = "0.1.0"

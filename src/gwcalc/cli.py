@@ -315,10 +315,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (HypothesisViolated,) as exc:
-        _emit({"status": "hypothesis-violated", "reason": str(exc)}, f"refused: {exc}")
-        return EXIT_HYPOTHESIS
-    except Inapplicable as exc:
+    except (HypothesisViolated, Inapplicable) as exc:
         _emit({"status": "hypothesis-violated", "reason": str(exc)}, f"refused: {exc}")
         return EXIT_HYPOTHESIS
     except UnsupportedQuery as exc:

@@ -143,6 +143,34 @@ def set_partitions(items: list):
         yield sub + [[first]]
 
 
+def _frozen(blocks) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sorted(b)) for b in sorted(map(sorted, blocks)))
+
+
+def _comparison_lattice(z_space: Space, betas, weight: int):
+    """Walk the set-partition lattice of the transferred classes, coarsest
+    first.
+
+    Yields (blocks, gammas, mu) for every set partition into at most
+    ``weight`` blocks whose block products ``gammas`` are all nonzero;
+    ``mu`` pairs each block product with tangency one and fills the
+    remaining tangency with unit-weighted pairs.
+    """
+    lattice = sorted(
+        (_frozen(p) for p in set_partitions(list(range(len(betas))))),
+        key=lambda p: (len(p), p),
+    )
+    for blocks in lattice:
+        if len(blocks) > weight:
+            break
+        gammas = [cup_all(z_space, (betas[i] for i in block)) for block in blocks]
+        if any(g.is_zero() for g in gammas):
+            continue
+        pairs = [WeightedPair(1, g) for g in gammas]
+        pairs += [WeightedPair(1, unit(z_space))] * (weight - len(blocks))
+        yield blocks, gammas, weighted_partition(z_space, pairs)
+
+
 def comparison_partitions(
     z_space: Space, betas, weight: int
 ) -> list[tuple[WeightedPartition, tuple[tuple[int, ...], ...]]]:
@@ -158,19 +186,9 @@ def comparison_partitions(
     betas = list(betas)
     if betas and weight < 1:
         raise ValueError("positive tangency weight required with insertions")
-    out = []
-    for blocks in set_partitions(list(range(len(betas)))):
-        if len(blocks) > weight:
-            continue
-        gammas = [cup_all(z_space, (betas[i] for i in block)) for block in blocks]
-        if any(g.is_zero() for g in gammas):
-            continue
-        pairs = [WeightedPair(1, g) for g in gammas]
-        pairs += [WeightedPair(1, unit(z_space))] * (weight - len(blocks))
-        mu = weighted_partition(z_space, pairs)
-        out.append((mu, tuple(tuple(sorted(b)) for b in sorted(map(sorted, blocks)))))
-    out.sort(key=lambda entry: (len(entry[1]), entry[1]))
-    return out
+    return [
+        (mu, blocks) for blocks, _, mu in _comparison_lattice(z_space, betas, weight)
+    ]
 
 
 def _check_hypothesis(cut: CutSpec, n_transfers: int) -> None:
@@ -245,14 +263,6 @@ def closed_form_oracle(cut: CutSpec):
 # Solving for relative invariants on the set-partition lattice.
 
 
-def _frozen(blocks) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(b)) for b in sorted(map(sorted, blocks)))
-
-
-def _refines(finer, coarser) -> bool:
-    return all(any(set(b) <= set(c) for c in coarser) for b in finer)
-
-
 def solve_relative(
     cut: CutSpec,
     degree: int,
@@ -276,16 +286,9 @@ def solve_relative(
     weight = divisor_weight(cut, degree)
     z_space = cut.divisor.divisor
     ambient = cut.divisor.ambient
-    all_partitions = [_frozen(p) for p in set_partitions(list(range(len(betas))))]
-    all_partitions.sort(key=lambda p: (len(p), p))
     solved: dict[tuple, Fraction] = {}
     table: dict[WeightedPartition, Fraction] = {}
-    for blocks in all_partitions:
-        if len(blocks) > weight:
-            continue
-        gammas = [cup_all(z_space, (betas[i] for i in block)) for block in blocks]
-        if any(g.is_zero() for g in gammas):
-            continue
+    for blocks, gammas, mu in _comparison_lattice(z_space, betas, weight):
         insertions = alphas + tuple(
             shriek_pushforward(cut.divisor, g) for g in gammas
         )
@@ -296,14 +299,14 @@ def solve_relative(
                 f"absolute oracle cannot evaluate the merged query for blocks "
                 f"{blocks}: {exc}"
             ) from exc
+        # The strict coarsenings of P are the set partitions of its blocks
+        # into fewer groups; those the walk skipped contribute nothing.
         coarser_sum = Fraction(0)
-        for other, value in solved.items():
-            if other != blocks and _refines(blocks, other):
-                coarser_sum += value
+        for groups in set_partitions(list(range(len(blocks)))):
+            if len(groups) < len(blocks):
+                merged = [[i for g in group for i in blocks[g]] for group in groups]
+                coarser_sum += solved.get(_frozen(merged), 0)
         solved[blocks] = lhs - coarser_sum
-        pairs = [WeightedPair(1, g) for g in gammas]
-        pairs += [WeightedPair(1, unit(z_space))] * (weight - len(blocks))
-        mu = weighted_partition(z_space, pairs)
         if mu in table:
             assert table[mu] == solved[blocks], (
                 f"inconsistent relative value for {partition_to_text(mu)}"
@@ -595,6 +598,8 @@ def rc_lift(
     invariants recovered from the comparison identity contain a minimal
     nonzero term, and transferring its weights gives the ambient witness.
     """
+    if k_points < 0:
+        raise ValueError("k_points must be nonnegative")
     alphas = tuple(alphas)
     betas = list(betas)
     divisor = cut.divisor

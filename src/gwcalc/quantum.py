@@ -309,13 +309,13 @@ def _gw_basis(space: Space, degree: int, idxs: tuple[int, ...]) -> Fraction:
             factor *= degree
         else:
             rest.append(i)
-    if space.kind == PROJECTIVE and space.params[0] == 1:
-        return factor if degree == 1 and not rest else Fraction(0)
     if space.kind == PROJECTIVE and space.params[0] == 2:
         assert len(rest) == 3 * degree - 1, "dimension rule should force this"
         return factor * wdvv_nd(degree)
     if space.kind == PROJECTIVE:
-        # Treat P^n (n >= 3) through its rank-one Schubert ring.
+        # Treat P^n (n != 2) through its rank-one Schubert ring Gr(1, n+1);
+        # P^2 takes the N_d recursion, because Gr(1,3) refuses more than
+        # three point insertions.
         parts = [(bas[i].real_degree // 2,) for i in rest]
         return _structure_constant_value(
             _as_one_row_space(space), degree, parts, factor

@@ -170,26 +170,18 @@ def fiber_vanishing(query: RelQuery) -> bool:
     return False
 
 
-def rel_p1_two_point(s: int, d: int) -> Fraction:
-    """Two-point invariant of the projective line relative to one point:
-    a degree-s cover fully ramified over the relative point, with one
-    interior point insertion carrying d-1 cotangent twists."""
-    if s < 1:
-        raise ValueError("fiber degree s must be positive")
-    if d < 1:
-        raise ValueError("descendent index d must be positive")
-    if d != s:
-        return Fraction(0)
-    return Fraction(1, math.factorial(s))
-
-
 def fiber_two_point(
     s: int, d: int, beta_zero: RingElement, beta_infinity: RingElement
 ) -> Fraction:
     """Two-point fiber-class invariant: a zero-section insertion with d-1
-    cotangent twists against a single tangency point of full order s."""
+    cotangent twists against a single tangency point of full order s.
+
+    Over a point base with unit classes this is the line relative to one
+    point: a degree-s cover fully ramified over it."""
     if s < 1:
         raise ValueError("fiber degree s must be positive")
+    if d < 1:
+        raise ValueError("descendent index d must be positive")
     if d != s:
         return Fraction(0)
     return Fraction(1, math.factorial(s)) * integrate(cup(beta_zero, beta_infinity))

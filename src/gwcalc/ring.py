@@ -82,7 +82,7 @@ def make_space(descriptor: str) -> Space:
         return point_space()
     if text.startswith("pn:"):
         return projective_space(int(text[3:]))
-    if text.startswith("gr:"):
+    if text.startswith("gr:") and text.count(":") == 2:
         _, k, n = text.split(":")
         return grassmannian(int(k), int(n))
     if text.startswith("p") and text[1:].isdigit():

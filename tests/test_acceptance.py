@@ -5,9 +5,13 @@ Each test prints a single "criterion N ...: PASS" line on success (run with
 the offending case attached.
 """
 
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 from gwcalc import ring
 from gwcalc.degeneration import (
@@ -49,7 +53,6 @@ from gwcalc.relative import (
     fiber_vanishing,
     make_fiber_query,
     min_normal_chern,
-    rel_p1_two_point,
     relative_invariant_with_reason,
 )
 
@@ -71,7 +74,7 @@ def test_criterion_1_two_point_table():
     for s in range(1, 7):
         for d in range(1, 7):
             expected = Fraction(1, math.factorial(s)) if d == s else Fraction(0)
-            if rel_p1_two_point(s, d) != expected:
+            if fiber_two_point(s, d, ring.unit(PT), ring.unit(PT)) != expected:
                 failures.append((s, d))
     _report(1, "ramified two-point table on the line", failures)
 
@@ -339,3 +342,12 @@ def test_criterion_9_hypothesis_enforcement():
     except Exception as exc:  # noqa: BLE001
         failures.append(f"wrong error type {type(exc).__name__}")
     _report(9, "refusal when transfers exceed the positivity bound", failures)
+
+
+def test_verification_battery_all_ok():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verifications.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_ok"] is True

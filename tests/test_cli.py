@@ -168,6 +168,20 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_truncated_grassmannian_descriptor(capsys):
+    code, out, err = run(capsys, ["ring", "--space", "gr:2"])
+    assert code == 1
+    assert out == ""
+    assert "unrecognised space descriptor 'gr:2'" in err
+
+
+def test_lift_negative_point_count(capsys):
+    code, out, err = run(capsys, ["lift", "--testbed", "p2-line", "--k", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "k_points must be nonnegative" in err
+
+
 def test_missing_subcommand_exit_code(capsys):
     assert run(capsys, [])[0] == 1
 

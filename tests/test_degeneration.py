@@ -116,13 +116,18 @@ def _alpha_choices(x):
     return [(), (pt,), (pt, pt)]
 
 
-@pytest.mark.parametrize("name", ["p1-pt", "p2-line"])
+# Largest number of transferred classes per testbed.  The point divisor has
+# one family per size, so p1-pt can afford much deeper lattices.
+_ROUND_TRIP_SIZES = {"p1-pt": 6, "p2-line": 3}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIP_SIZES))
 def test_solver_round_trip(name):
     """Recovered relative invariants re-sum to every absolute value used."""
     cut = named_testbed(name)
     z = cut.divisor.divisor
     x = cut.divisor.ambient
-    for betas in _beta_families(z, 3):
+    for betas in _beta_families(z, _ROUND_TRIP_SIZES[name]):
         l = len(betas)
         for alphas in _alpha_choices(x):
             for degree in range(l, l + 2):

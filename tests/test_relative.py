@@ -22,7 +22,6 @@ from gwcalc.relative import (
     make_fiber_query,
     make_section_query,
     min_normal_chern,
-    rel_p1_two_point,
     relative_invariant,
     relative_invariant_with_reason,
     zero_section_divisor,
@@ -34,22 +33,27 @@ P1 = ring.projective_space(1)
 P2 = ring.projective_space(2)
 
 
+def _two_point(s: int, d: int) -> Fraction:
+    """The line relative to a point, as a fiber over a point base."""
+    return fiber_two_point(s, d, ring.unit(PT_SPACE), ring.unit(PT_SPACE))
+
+
 def test_rel_p1_two_point_table():
     for s in range(1, 7):
         for d in range(1, 7):
-            value = rel_p1_two_point(s, d)
+            value = _two_point(s, d)
             if d == s:
                 assert value == Fraction(1, math.factorial(s))
             else:
                 assert value == 0
     with pytest.raises(ValueError):
-        rel_p1_two_point(0, 1)
+        _two_point(0, 1)
 
 
 def test_rel_p1_two_point_examples():
-    assert rel_p1_two_point(1, 1) == 1
-    assert rel_p1_two_point(3, 3) == Fraction(1, 6)
-    assert rel_p1_two_point(2, 1) == 0
+    assert _two_point(1, 1) == 1
+    assert _two_point(3, 3) == Fraction(1, 6)
+    assert _two_point(2, 1) == 0
 
 
 def test_fiber_two_point_examples():
@@ -59,6 +63,8 @@ def test_fiber_two_point_examples():
     h = ring.by_label(P2, "h")
     assert fiber_two_point(2, 2, h, h) == Fraction(1, 2)
     assert fiber_two_point(2, 1, h, h) == 0
+    with pytest.raises(ValueError):
+        fiber_two_point(1, 0, one, pt)
 
 
 def test_fiber_one_relative_examples():
