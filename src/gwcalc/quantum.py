@@ -27,7 +27,9 @@ from .ring import (
     basis_element,
     basis_partition,
     cup,
+    dual_basis,
     element,
+    in_box,
     integrate,
     lr_expansion,
     partition_index,
@@ -135,19 +137,16 @@ def _hook_removals(nu: Partition, n: int):
         yield ht, tuple(p for p in parts if p > 0)
 
 
-def _fits(nu: Partition, rows: int, cols: int) -> bool:
-    return len(nu) <= rows and (not nu or nu[0] <= cols)
-
-
 @lru_cache(maxsize=None)
 def _rim_reduce(nu: Partition, rows: int, cols: int, n: int):
     """Remove n-rim hooks from nu until it fits in the rows x cols box.
 
     Returns (sign, hook count, reduced partition) or None when the process
-    dead-ends.  Every removal order must agree; this is asserted, since the
-    reduced shape is the unique n-core relative to the box.
+    dead-ends.  Every removal order must agree, since the reduced shape is
+    the unique n-core relative to the box; a disagreement is an internal
+    error.
     """
-    if _fits(nu, rows, cols):
+    if in_box(nu, rows, cols):
         return (1, 0, nu)
     outcomes = set()
     for ht, smaller in _hook_removals(nu, n):
@@ -159,7 +158,8 @@ def _rim_reduce(nu: Partition, rows: int, cols: int, n: int):
             outcomes.add((sign * (-1) ** (rows - ht), count + 1, core))
     if not outcomes:
         return None
-    assert len(outcomes) == 1, f"inconsistent rim-hook reduction of {nu}"
+    if len(outcomes) != 1:
+        raise RuntimeError(f"inconsistent rim-hook reduction of {nu}")
     return outcomes.pop()
 
 
@@ -168,8 +168,8 @@ def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClas
 
     Classical Littlewood-Richardson expansion first, then each shape with at
     most k rows is reduced by n-rim hooks with signs; shapes with more rows
-    die.  Surviving coefficients are honest curve counts, so nonnegativity
-    is asserted.
+    die.  Surviving coefficients are honest curve counts, so a negative or
+    fractional one is an internal error.
     """
     if space.kind != GRASSMANNIAN:
         raise ValueError("rim-hook products are a Grassmannian operation")
@@ -177,7 +177,7 @@ def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClas
     cols = n - k
     lam, mu = tuple(lam), tuple(mu)
     for parts in (lam, mu):
-        if not _fits(parts, k, cols) or list(parts) != sorted(parts, reverse=True) or any(
+        if not in_box(parts, k, cols) or list(parts) != sorted(parts, reverse=True) or any(
             p < 1 for p in parts
         ):
             raise ValueError(f"partition {parts} does not fit in {k}x{cols}")
@@ -195,15 +195,17 @@ def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClas
     parts_out: dict[int, RingElement] = {}
     for e, coeffs in acc.items():
         for idx, value in coeffs.items():
-            assert value >= 0 and value.denominator == 1, (
-                f"negative or fractional quantum coefficient at q^{e}"
-            )
+            if value < 0 or value.denominator != 1:
+                raise RuntimeError(
+                    f"negative or fractional quantum coefficient at q^{e}"
+                )
         parts_out[e] = element(space, coeffs)
     out = quantum_class(space, parts_out)
     total = 2 * (sum(lam) + sum(mu))
     for e, elem in out.terms:
         for i, _ in elem.coeffs:
-            assert basis(space)[i].real_degree + 2 * e * n == total, "graded leak"
+            if basis(space)[i].real_degree + 2 * e * n != total:
+                raise RuntimeError("graded leak")
     return out
 
 
@@ -226,17 +228,11 @@ def star(x: QuantumClass, y: QuantumClass) -> QuantumClass:
     return quantum_class(space, acc)
 
 
-def _dual_partition(space: Space, parts: Partition) -> Partition:
-    k, n = space.params
-    cols = n - k
-    padded = list(parts) + [0] * (k - len(parts))
-    return tuple(p for p in (cols - q for q in reversed(padded)) if p > 0)
-
-
 def _three_point(space: Space, la, lb, lc, degree: int) -> Fraction:
     """Genus-zero three-point invariant from the quantum product."""
     qc = rim_hook_product(tuple(la), tuple(lb), space)
-    return qc.coefficient(degree, partition_index(space, _dual_partition(space, tuple(lc))))
+    dual = dual_basis(space)[partition_index(space, tuple(lc))]
+    return qc.coefficient(degree, dual.index)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +306,8 @@ def _gw_basis(space: Space, degree: int, idxs: tuple[int, ...]) -> Fraction:
         else:
             rest.append(i)
     if space.kind == PROJECTIVE and space.params[0] == 2:
-        assert len(rest) == 3 * degree - 1, "dimension rule should force this"
+        if len(rest) != 3 * degree - 1:
+            raise RuntimeError("dimension rule should force this")
         return factor * wdvv_nd(degree)
     if space.kind == PROJECTIVE:
         # Treat P^n (n != 2) through its rank-one Schubert ring Gr(1, n+1);
@@ -370,6 +367,27 @@ def _extra_multisets(space: Space, budget: int):
     return found
 
 
+def _certificate_in_degree(space: Space, degree: int, k_points: int) -> Witness | None:
+    """A nonzero invariant in the given degree with exactly k point
+    insertions plus basis classes of degree >= 4, if one is evaluable."""
+    # What the point classes leave of the virtual dimension; an extra class
+    # of real degree e takes e - 2 of it, since it adds a marked point.
+    n = space.complex_dimension
+    budget = virtual_dimension(space, degree, k_points) - 2 * n * k_points
+    if budget < 0:
+        return None
+    points = (point_class(space),) * k_points
+    for extras in _extra_multisets(space, budget):
+        insertions = points + tuple(basis_element(space, i) for i in extras)
+        try:
+            value = gw_invariant(space, degree, insertions)
+        except UnsupportedQuery:
+            continue
+        if value != 0:
+            return Witness(AbsoluteQuery(space, degree, insertions), value)
+    return None
+
+
 def rc_certificate(space: Space, k_points: int, max_degree: int) -> Witness | None:
     """Search for a nonzero invariant with at least k point insertions.
 
@@ -379,45 +397,14 @@ def rc_certificate(space: Space, k_points: int, max_degree: int) -> Witness | No
     """
     if k_points < 0:
         raise ValueError("k_points must be nonnegative")
-    if space.kind == POINT:
-        return None
-    pt = point_class(space)
-    pt_step = 2 * space.complex_dimension - 2
     for degree in range(1, max_degree + 1):
-        budget = (
-            2 * chern_generator(space) * degree
-            + 2 * (space.complex_dimension - 3)
-            - k_points * pt_step
-        )
-        if budget < 0:
-            continue
-        for extras in _extra_multisets(space, budget):
-            insertions = (pt,) * k_points + tuple(
-                basis_element(space, i) for i in extras
-            )
-            try:
-                value = gw_invariant(space, degree, insertions)
-            except UnsupportedQuery:
-                continue
-            if value != 0:
-                return Witness(AbsoluteQuery(space, degree, insertions), value)
+        witness = _certificate_in_degree(space, degree, k_points)
+        if witness is not None:
+            return witness
     return None
 
 
 def nonzero_invariant_in_degree(space: Space, degree: int) -> Witness | None:
     """A nonzero genus-zero invariant in the given curve degree, if the
     bounded search finds one (used to detect stably effective classes)."""
-    if space.kind == POINT:
-        return None
-    budget = 2 * chern_generator(space) * degree + 2 * (space.complex_dimension - 3)
-    if budget < 0:
-        return None
-    for extras in _extra_multisets(space, budget):
-        insertions = tuple(basis_element(space, i) for i in extras)
-        try:
-            value = gw_invariant(space, degree, insertions)
-        except UnsupportedQuery:
-            continue
-        if value != 0:
-            return Witness(AbsoluteQuery(space, degree, insertions), value)
-    return None
+    return _certificate_in_degree(space, degree, 0)

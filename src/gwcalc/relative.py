@@ -210,7 +210,10 @@ def relative_invariant_with_reason(query: RelQuery) -> tuple[Fraction, str | Non
                 betas = [i.cls for i in query.insertions]
                 gamma = query.partition.pairs[0].weight
                 return fiber_one_relative(betas, gamma), None
-            assert fiber_vanishing(query)
+            # fiber_vanishing refuses a bundle negative on curves with
+            # Inapplicable; otherwise every other descendent-free shape vanishes.
+            if not fiber_vanishing(query):
+                raise RuntimeError("fiber query escaped the vanishing criteria")
             return Fraction(0), (
                 "fiber-class query outside the single transverse-tangency shape"
             )

@@ -125,18 +125,18 @@ def _partition_label(parts: Partition) -> str:
 
 @lru_cache(maxsize=None)
 def basis(space: Space) -> tuple[BasisClass, ...]:
-    if space.kind == POINT:
-        return (BasisClass(space, 0, 0, "1"),)
-    if space.kind == PROJECTIVE:
-        n = space.params[0]
-        labels = ["1", "h"] + [f"h^{i}" for i in range(2, n + 1)]
-        return tuple(BasisClass(space, i, 2 * i, labels[i]) for i in range(n + 1))
-    k, n = space.params
-    parts = rectangle_partitions(k, n - k)
-    return tuple(
-        BasisClass(space, i, 2 * sum(p), _partition_label(p))
-        for i, p in enumerate(parts)
-    )
+    """The distinguished basis: Schubert classes on a Grassmannian, else the
+    monomials 1, h, ..., h^n (the point is P^0, with basis "1")."""
+    if space.kind == GRASSMANNIAN:
+        k, n = space.params
+        parts = rectangle_partitions(k, n - k)
+        return tuple(
+            BasisClass(space, i, 2 * sum(p), _partition_label(p))
+            for i, p in enumerate(parts)
+        )
+    n = space.complex_dimension
+    labels = ["1", "h"] + [f"h^{i}" for i in range(2, n + 1)]
+    return tuple(BasisClass(space, i, 2 * i, labels[i]) for i in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -289,6 +289,17 @@ def element_from_json(space: Space, data: dict[str, str]) -> RingElement:
 # Littlewood-Richardson expansion, by counting lattice skew tableaux.
 
 
+def in_box(parts: Partition, rows: int, cols: int) -> bool:
+    """Whether a partition fits inside the rows x cols rectangle."""
+    return len(parts) <= rows and (not parts or parts[0] <= cols)
+
+
+def _box_complement(parts: Partition, rows: int, cols: int) -> Partition:
+    """The complement of a partition in the rows x cols box, turned round."""
+    padded = list(parts) + [0] * (rows - len(parts))
+    return tuple(p for p in (cols - q for q in reversed(padded)) if p > 0)
+
+
 def _contains(outer: Partition, inner: Partition) -> bool:
     return len(inner) <= len(outer) and all(
         outer[i] >= inner[i] for i in range(len(inner))
@@ -380,25 +391,21 @@ def lr_expansion(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], 
 def cup(a: RingElement, b: RingElement) -> RingElement:
     _check_same_space(a, b)
     space = a.space
-    if space.kind == POINT:
-        return element(space, {0: a.coefficient(0) * b.coefficient(0)})
-    if space.kind == PROJECTIVE:
-        n = space.params[0]
-        acc: dict[int, Fraction] = {}
+    acc: dict[int, Fraction] = {}
+    if space.kind != GRASSMANNIAN:
+        n = space.complex_dimension
         for i, ca in a.coeffs:
             for j, cb in b.coeffs:
                 if i + j <= n:
                     acc[i + j] = acc.get(i + j, Fraction(0)) + ca * cb
         return element(space, acc)
     k, n = space.params
-    cols = n - k
-    acc = {}
     for i, ca in a.coeffs:
         la = basis_partition(space, i)
         for j, cb in b.coeffs:
             lb = basis_partition(space, j)
             for nu, mult in lr_expansion(la, lb):
-                if len(nu) <= k and (not nu or nu[0] <= cols):
+                if in_box(nu, k, n - k):
                     idx = partition_index(space, nu)
                     acc[idx] = acc.get(idx, Fraction(0)) + ca * cb * mult
     return element(space, acc)
@@ -427,26 +434,18 @@ def h2_pairing(a: RingElement) -> Fraction:
 def dual_basis(space: Space) -> tuple[BasisClass, ...]:
     """For each basis class, the unique basis class pairing to exactly 1.
 
-    The pairing matrix of the distinguished basis must be a permutation
-    matrix; anything else is an internal error.
+    In closed form: h^i pairs with h^(n-i), and a Schubert class with the
+    class of its complement in the k x (n-k) box (Fulton, Young Tableaux,
+    section 9.4).
     """
     bas = basis(space)
-    duals = []
-    for a in bas:
-        hits = []
-        for b in bas:
-            v = integrate(cup(basis_element(space, a.index), basis_element(space, b.index)))
-            if v != 0:
-                hits.append((b, v))
-        if len(hits) != 1 or hits[0][1] != 1:
-            raise RuntimeError(
-                f"Poincare pairing of {space} is not a permutation at {a.label}"
-            )
-        duals.append(hits[0][0])
-    for a, d in zip(bas, duals):
-        if duals[d.index].index != a.index:
-            raise RuntimeError(f"duality is not an involution on {space}")
-    return tuple(duals)
+    if space.kind != GRASSMANNIAN:
+        return bas[::-1]
+    k, n = space.params
+    return tuple(
+        bas[partition_index(space, _box_complement(parts, k, n - k))]
+        for parts in rectangle_partitions(k, n - k)
+    )
 
 
 def dual_element(space: Space, index: int) -> RingElement:

@@ -1,9 +1,15 @@
 """Command-line behaviour: JSON payloads, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from gwcalc.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -75,6 +81,21 @@ def test_rel_vanishing(capsys):
     assert payload["status"] == "vanishes"
     assert payload["value"] == "0"
     assert payload["reason"]
+
+
+def test_rel_negative_bundle_refused_under_optimisation():
+    # The refusal must not hang on an assert, which `python -O` strips.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ["rel", "--bundle", "p1:c1=-1", "--class", "2F", "--partition", "(2,pt)"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "gwcalc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["status"] == "hypothesis-violated"
 
 
 def test_rel_descendent_syntax(capsys):

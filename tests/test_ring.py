@@ -176,12 +176,25 @@ def _rank(matrix):
 
 @pytest.mark.parametrize(
     "space",
-    [ring.point_space(), ring.projective_space(2)] + SMALL_GRASSMANNIANS,
+    [ring.point_space(), ring.projective_space(2)]
+    + SMALL_GRASSMANNIANS
+    + [ring.projective_space(n) for n in (1, 3, 4)],
 )
 def test_dual_basis_involution(space):
+    # The closed-form duals against the full pairing matrix: each basis
+    # class pairs to 1 with its dual and to 0 with every other class.
     duals = ring.dual_basis(space)
-    for bc in ring.basis(space):
+    bas = ring.basis(space)
+    for bc in bas:
         assert duals[duals[bc.index].index].index == bc.index
+        for other in bas:
+            pairing = ring.integrate(
+                ring.cup(
+                    ring.basis_element(space, bc.index),
+                    ring.basis_element(space, other.index),
+                )
+            )
+            assert pairing == (1 if other.index == duals[bc.index].index else 0)
 
 
 def test_dual_basis_examples():
