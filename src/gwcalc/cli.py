@@ -176,6 +176,8 @@ def _cmd_verify(args) -> int:
             payload["terms"] = report.to_json()["terms"]
         _emit(payload, f"{m}-point identity on the line: equal={report.equal}")
         return EXIT_OK if report.status == "ok" else EXIT_UNSUPPORTED
+    if args.max_degree < 1:
+        raise ValueError("--max-degree must be at least 1")
     cases = _default_verify_cases(cut, args.max_degree)
     reports = [
         degeneration.verify_comparison(cut, d, alphas, betas)

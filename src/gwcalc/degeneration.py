@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from itertools import product as _cartesian
 
 from .errors import HypothesisViolated, Inapplicable, UnsupportedQuery
@@ -88,6 +89,8 @@ def testbed_cut(name: str) -> CutSpec:
 
 def divisor_weight(cut: CutSpec, degree: int) -> int:
     """Total tangency weight Z . A for a degree-d ambient class."""
+    if degree < 0:
+        raise ValueError("curve degree must be nonnegative")
     value = degree * h2_pairing(cut.divisor.divisor_class)
     if value.denominator != 1:
         raise ValueError("divisor pairing must be integral")
@@ -131,20 +134,34 @@ def absolute_insertions(cut: CutSpec, insertions) -> tuple[RingElement, ...]:
 # The comparison identity: partitions and right-hand side.
 
 
-def set_partitions(items: list):
-    """All set partitions of the given items, deterministically ordered."""
-    if not items:
-        yield []
+def set_partitions(items):
+    """All set partitions of the given items, lazily and coarsest first.
+
+    A partition is a tuple of blocks, each a tuple of items in their given
+    order, with blocks ordered by their first item; partitions into equally
+    many blocks come in lexicographic order of item positions.
+    """
+    items = tuple(items)
+    # No items have one partition, into no blocks.
+    for count in range(min(1, len(items)), len(items) + 1):
+        yield from _partitions_into(items, count)
+
+
+def _partitions_into(items: tuple, count: int):
+    """The set partitions of ``items`` into exactly ``count`` blocks."""
+    if count <= 1:
+        yield (items,) if items else ()
         return
-    first, rest = items[0], items[1:]
-    for sub in set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-        yield sub + [[first]]
-
-
-def _frozen(blocks) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(b)) for b in sorted(map(sorted, blocks)))
+    # The first block takes item 0 and leaves an item for each later block.
+    for extra in sorted(
+        chosen
+        for size in range(len(items) - count + 1)
+        for chosen in combinations(range(1, len(items)), size)
+    ):
+        block = (0,) + extra
+        rest = tuple(x for i, x in enumerate(items) if i not in block)
+        for tail in _partitions_into(rest, count - 1):
+            yield (tuple(items[i] for i in block),) + tail
 
 
 def _comparison_lattice(z_space: Space, betas, weight: int):
@@ -156,11 +173,7 @@ def _comparison_lattice(z_space: Space, betas, weight: int):
     ``mu`` pairs each block product with tangency one and fills the
     remaining tangency with unit-weighted pairs.
     """
-    lattice = sorted(
-        (_frozen(p) for p in set_partitions(list(range(len(betas))))),
-        key=lambda p: (len(p), p),
-    )
-    for blocks in lattice:
+    for blocks in set_partitions(range(len(betas))):
         if len(blocks) > weight:
             break
         gammas = [cup_all(z_space, (betas[i] for i in block)) for block in blocks]
@@ -299,13 +312,14 @@ def solve_relative(
                 f"absolute oracle cannot evaluate the merged query for blocks "
                 f"{blocks}: {exc}"
             ) from exc
-        # The strict coarsenings of P are the set partitions of its blocks
-        # into fewer groups; those the walk skipped contribute nothing.
+        # The strict coarsenings of P are the groupings of its blocks before
+        # the finest; those the walk skipped contribute nothing.
         coarser_sum = Fraction(0)
-        for groups in set_partitions(list(range(len(blocks)))):
-            if len(groups) < len(blocks):
-                merged = [[i for g in group for i in blocks[g]] for group in groups]
-                coarser_sum += solved.get(_frozen(merged), 0)
+        for groups in set_partitions(blocks):
+            if len(groups) == len(blocks):
+                break
+            merged = tuple(tuple(sorted(i for b in group for i in b)) for group in groups)
+            coarser_sum += solved.get(merged, 0)
         solved[blocks] = lhs - coarser_sum
         if mu in table:
             # Deliberately still an assert: perfbench/golden.json stores this
@@ -491,22 +505,20 @@ def enumerate_terms(
         )
     terms: list[DegenerationTerm] = []
     total = Fraction(0)
-    for blocks in set_partitions(list(range(len(shrieks)))):
+    for blocks in set_partitions(range(len(shrieks))):
         if len(blocks) > weight:
             dropped.append(
-                (
-                    "more components than the total tangency weight allows",
-                    _frozen(blocks),
-                )
+                ("more components than the total tangency weight allows", blocks)
             )
             continue
         empties = weight - len(blocks)
-        choices = [list(range(len(bas)))] * len(blocks)
-        for assignment in _cartesian(*choices) if blocks else [()]:
+        # Components with no insertions need a point-class tangency weight.
+        choices = [range(len(bas))] * len(blocks) + [[len(bas) - 1]] * empties
+        for assignment in _cartesian(*choices):
             components = []
             y_value = Fraction(1)
             ok = True
-            for block, widx in zip(blocks, assignment):
+            for block, widx in zip(blocks + ((),) * empties, assignment):
                 betas = tuple(shrieks[i] for i in block)
                 gamma = basis_element(z_space, widx)
                 query = make_fiber_query(
@@ -524,31 +536,13 @@ def enumerate_terms(
                 y_value *= v
             if not ok:
                 continue
-            # Components with no insertions need a point-class tangency weight.
-            if empties:
-                pt = point_class(z_space)
-                empty_query = make_fiber_query(
-                    bundle,
-                    1,
-                    [],
-                    weighted_partition(z_space, [WeightedPair(1, pt)]),
-                )
-                v = relative_invariant(empty_query)
-                if v == 0:
-                    dropped.append(("empty component integral vanishes", empty_query))
-                    continue
-                for _ in range(empties):
-                    components.append(BundleComponent((), pt, v))
-                    y_value *= v
             mu = weighted_partition(
                 z_space, (WeightedPair(1, c.tangency_weight) for c in components)
             )
-            dual_pairs = []
-            for c in components:
-                widx = c.tangency_weight.coeffs[0][0]
-                dual_pairs.append(
-                    WeightedPair(1, basis_element(z_space, duals[widx].index))
-                )
+            dual_pairs = [
+                WeightedPair(1, basis_element(z_space, duals[widx].index))
+                for widx in assignment
+            ]
             mu_dual = weighted_partition(z_space, dual_pairs)
             x_value = rel_oracle(degree, tuple(ambients), mu_dual)
             value = x_value * y_value

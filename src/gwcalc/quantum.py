@@ -80,6 +80,9 @@ def wdvv_nd(d: int) -> Fraction:
     """Count of degree-d rational plane curves through 3d-1 general points."""
     if d < 1:
         raise ValueError("degree must be at least 1")
+    # Fill the cache upward, so each _nd call recurses only one level.
+    for smaller in range(1, d):
+        _nd(smaller)
     return Fraction(_nd(d))
 
 

@@ -143,31 +143,38 @@ def zstar(query: RelQuery) -> int:
     return query.bundle.divisor_pairing(query.curve.degree)
 
 
-def fiber_vanishing(query: RelQuery) -> bool:
-    """True when the invariant is forced to vanish by dimension pushdown.
+def _vanishing_reason(query: RelQuery) -> str | None:
+    """Why the invariant is forced to vanish, or None if these criteria do
+    not decide it.
 
-    Two mechanisms apply.  If the zero-section pairing dominates the
-    descendent total and the query either has a non-fiber class or at least
-    three special insertions, every integrand is pulled back from a
-    strictly smaller base moduli space.  For descendent-free fiber classes,
-    the only shape that survives the fibered dimension count is a single
-    transverse tangency point with no pulled-back insertions.
-
-    False means "not decided by these criteria", never "nonzero".
+    For descendent-free fiber classes, the only shape that survives the
+    fibered dimension count is a single transverse tangency point with no
+    pulled-back insertions.  Otherwise, if the zero-section pairing
+    dominates the descendent total and the query either has a non-fiber
+    class or at least three special insertions, every integrand is pulled
+    back from a strictly smaller base moduli space.  When both apply, the
+    shape is the reason given.
     """
     if not query.bundle.curve_positive:
         raise Inapplicable(
             "vanishing criteria need the bundle to pair nonnegatively with curves"
         )
     l, q, k, d = _counts(query)
-    if zstar(query) >= d:
-        if isinstance(query.curve, SectionClass) or k + l + q >= 3:
-            return True
-    if isinstance(query.curve, FiberClass) and d == l:
-        s = query.curve.s
-        if not (s == 1 and k == 1 and q == 0):
-            return True
-    return False
+    fiber = isinstance(query.curve, FiberClass)
+    if fiber and d == l and not (query.curve.s == 1 and k == 1 and q == 0):
+        return "fiber-class query outside the single transverse-tangency shape"
+    if zstar(query) >= d and (not fiber or k + l + q >= 3):
+        return "dimension pushdown to the base moduli space"
+    return None
+
+
+def fiber_vanishing(query: RelQuery) -> bool:
+    """True when the invariant is forced to vanish by dimension pushdown or
+    by the single transverse-tangency shape (see ``_vanishing_reason``).
+
+    False means "not decided by these criteria", never "nonzero".
+    """
+    return _vanishing_reason(query) is not None
 
 
 def fiber_two_point(
@@ -202,41 +209,26 @@ def relative_invariant_with_reason(query: RelQuery) -> tuple[Fraction, str | Non
     """
     bundle = query.bundle
     l, q, k, d = _counts(query)
-    if isinstance(query.curve, FiberClass):
-        s = query.curve.s
-        descendent_free = d == l
-        if descendent_free:
-            if s == 1 and k == 1 and q == 0:
-                betas = [i.cls for i in query.insertions]
-                gamma = query.partition.pairs[0].weight
-                return fiber_one_relative(betas, gamma), None
-            # fiber_vanishing refuses a bundle negative on curves with
-            # Inapplicable; otherwise every other descendent-free shape vanishes.
-            if not fiber_vanishing(query):
-                raise RuntimeError("fiber query escaped the vanishing criteria")
-            return Fraction(0), (
-                "fiber-class query outside the single transverse-tangency shape"
-            )
-        if l == 1 and q == 0 and k == 1:
-            (ins,) = [i for i in query.insertions if isinstance(i, ZeroSection)]
-            pair = query.partition.pairs[0]
-            return (
-                fiber_two_point(s, ins.psi_power + 1, ins.cls, pair.weight),
-                None,
-            )
-        if fiber_vanishing(query):
-            return Fraction(0), "dimension pushdown to the base moduli space"
-        raise UnsupportedQuery(f"no closed form for fiber query {query}")
+    fiber = isinstance(query.curve, FiberClass)
+    if fiber and d == l and query.curve.s == 1 and k == 1 and q == 0:
+        betas = [i.cls for i in query.insertions]
+        return fiber_one_relative(betas, query.partition.pairs[0].weight), None
+    if fiber and d != l and l == 1 and q == 0 and k == 1:
+        (ins,) = query.insertions
+        weight = query.partition.pairs[0].weight
+        return fiber_two_point(query.curve.s, ins.psi_power + 1, ins.cls, weight), None
     # Section classes: only the tangency-free divisor reduction is known.
-    if k == 0 and d == l:
-        w = bundle.divisor_pairing(query.curve.degree)
-        if l == w + 1:
-            pullbacks = [i.cls for i in query.insertions if isinstance(i, Pullback)]
-            betas = [i.cls for i in query.insertions if isinstance(i, ZeroSection)]
-            return empty_partition_divisor(bundle, query.curve.degree, pullbacks, betas), None
-    if fiber_vanishing(query):
-        return Fraction(0), "dimension pushdown to the base moduli space"
-    raise UnsupportedQuery(f"no closed form for section query {query}")
+    if not fiber and k == 0 and d == l == zstar(query) + 1:
+        pullbacks = [i.cls for i in query.insertions if isinstance(i, Pullback)]
+        betas = [i.cls for i in query.insertions if isinstance(i, ZeroSection)]
+        return empty_partition_divisor(bundle, query.curve.degree, pullbacks, betas), None
+    # Every other descendent-free fiber shape vanishes; a bundle negative on
+    # curves is refused here with Inapplicable.
+    reason = _vanishing_reason(query)
+    if reason is None:
+        kind = "fiber" if fiber else "section"
+        raise UnsupportedQuery(f"no closed form for {kind} query {query}")
+    return Fraction(0), reason
 
 
 def relative_invariant(query: RelQuery) -> Fraction:
@@ -282,6 +274,7 @@ def zero_section_divisor(bundle: BundleSpec) -> DivisorDescriptor:
         ambient=None,
         divisor=base,
         restriction=None,
+        transfer=None,
         divisor_class=None,
         normal_c1=normal,
     )

@@ -448,10 +448,6 @@ def dual_basis(space: Space) -> tuple[BasisClass, ...]:
     )
 
 
-def dual_element(space: Space, index: int) -> RingElement:
-    return basis_element(space, dual_basis(space)[index].index)
-
-
 # ---------------------------------------------------------------------------
 # Divisors and the transfer map.
 
@@ -460,15 +456,18 @@ def dual_element(space: Space, index: int) -> RingElement:
 class DivisorDescriptor:
     """A codimension-2 submanifold Z of an ambient space.
 
-    ``restriction`` records the pullback of each ambient basis class to Z and
-    ``divisor_class`` the class of Z in H^2(ambient).  ``ambient`` may be None
-    for a divisor known only through its normal bundle (the zero section of a
-    projectivised line bundle), in which case only ``normal_c1`` is usable.
+    ``restriction`` records the pullback of each ambient basis class to Z,
+    ``transfer`` the degree-raising transfer of each basis class of Z into
+    the ambient space, and ``divisor_class`` the class of Z in H^2(ambient).
+    ``ambient`` may be None for a divisor known only through its normal
+    bundle (the zero section of a projectivised line bundle), in which case
+    only ``normal_c1`` is usable.
     """
 
     ambient: Space | None
     divisor: Space
     restriction: tuple[RingElement, ...] | None
+    transfer: tuple[RingElement, ...] | None
     divisor_class: RingElement | None
     normal_c1: RingElement
 
@@ -482,11 +481,15 @@ def hyperplane_divisor(n: int) -> DivisorDescriptor:
         basis_element(divisor, i) if i <= dim_z else zero(divisor)
         for i in range(n + 1)
     )
+    # h^i on Z goes to h^(i+1): paired with any h^j, both sides of the
+    # projection formula are 1 exactly when i + j = n - 1.
+    transfer = tuple(basis_element(ambient, i + 1) for i in range(dim_z + 1))
     normal = zero(divisor) if n == 1 else basis_element(divisor, 1)
     return DivisorDescriptor(
         ambient=ambient,
         divisor=divisor,
         restriction=restriction,
+        transfer=transfer,
         divisor_class=basis_element(ambient, 1),
         normal_c1=normal,
     )
@@ -508,25 +511,20 @@ def shriek_pushforward(div: DivisorDescriptor, beta: RingElement) -> RingElement
 
     Characterised by the projection formula: pairing the image against any
     ambient class equals pairing beta against that class restricted to Z.
+    It is linear, so it is read off the divisor's ``transfer`` table.
     """
-    if div.ambient is None:
+    if div.ambient is None or div.transfer is None:
         raise ValueError("divisor has no ambient model")
     if beta.space != div.divisor:
         raise ValueError("class does not live on the divisor")
     if beta.is_zero():
         return zero(div.ambient)
-    degree = beta.homogeneous_degree()
-    if degree is None:
+    if beta.homogeneous_degree() is None:
         raise ValueError("transfer needs a homogeneous class")
-    target = degree + 2
-    acc: dict[int, Fraction] = {}
-    for bc in basis(div.ambient):
-        if bc.real_degree != target:
-            continue
-        pairing = integrate(cup(beta, restrict(div, dual_element(div.ambient, bc.index))))
-        if pairing != 0:
-            acc[bc.index] = pairing
-    return element(div.ambient, acc)
+    out = zero(div.ambient)
+    for i, c in beta.coeffs:
+        out = out + c * div.transfer[i]
+    return out
 
 
 def normal_degree(div: DivisorDescriptor) -> int:

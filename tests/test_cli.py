@@ -203,6 +203,23 @@ def test_lift_negative_point_count(capsys):
     assert "k_points must be nonnegative" in err
 
 
+def test_solve_negative_degree(capsys):
+    argv = ["solve", "relative", "--testbed", "p2-line", "--degree", "-1", "--betas", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "curve degree must be nonnegative" in err
+
+
+def test_verify_empty_battery(capsys):
+    for max_degree in ("0", "-2"):
+        argv = ["verify", "comparison", "--testbed", "p2-line", "--max-degree", max_degree]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "--max-degree must be at least 1" in err
+
+
 def test_missing_subcommand_exit_code(capsys):
     assert run(capsys, [])[0] == 1
 

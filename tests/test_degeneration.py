@@ -34,9 +34,20 @@ P2_CUT = named_testbed("p2-line")
 
 
 def test_set_partitions_counts():
-    # Bell numbers 1, 1, 2, 5, 15.
-    for n, bell in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15)]:
-        assert len(list(set_partitions(list(range(n))))) == bell
+    # Bell numbers 1, 1, 2, 5, 15, 52, 203.
+    for n, bell in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)]:
+        parts = list(set_partitions(list(range(n))))
+        assert len(parts) == bell
+        assert len(set(parts)) == bell
+        # Coarsest first, lexicographic among equally many blocks, each in
+        # canonical form: a tuple of increasing tuples ordered by first item,
+        # covering every item once.
+        assert parts == sorted(parts, key=lambda p: (len(p), p))
+        for p in parts:
+            assert isinstance(p, tuple)
+            assert all(isinstance(b, tuple) and list(b) == sorted(b) for b in p)
+            assert [b[0] for b in p] == sorted(b[0] for b in p)
+            assert sorted(i for b in p for i in b) == list(range(n))
 
 
 def test_comparison_partitions_single_beta():

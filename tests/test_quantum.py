@@ -1,7 +1,11 @@
 """Quantum oracle tests: dimension formula, plane-curve counts against an
 independently coded recursion, rim-hook products, and certificate search."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ P1 = ring.projective_space(1)
 P2 = ring.projective_space(2)
 G24 = ring.grassmannian(2, 4)
 G13 = ring.grassmannian(1, 3)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def brute_plane_counts(limit):
@@ -81,6 +86,20 @@ def test_wdvv_matches_independent_recursion():
         value = wdvv_nd(d)
         assert value == expected
         assert value.denominator == 1 and value > 0
+
+
+def test_wdvv_cold_call_is_shallow():
+    # A cold wdvv_nd(d) must not recurse d levels deep, or a large degree
+    # ends in a RecursionError.
+    code = "import sys; sys.setrecursionlimit(120); from gwcalc.quantum import wdvv_nd; wdvv_nd(150)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gw_point_space():

@@ -216,6 +216,12 @@ def test_section_query_dispatch():
     q = make_section_query(bundle, 1, [ZeroSection(pt), ZeroSection(pt)])
     value, reason = relative_invariant_with_reason(q)
     assert value == 1 and reason is None
+    # A pullback insertion reaches the base invariant too: the unit kills
+    # it (fundamental-class axiom), h multiplies it by the degree.
+    for label, expected in (("1", 0), ("h", 1)):
+        insertions = [Pullback(ring.by_label(P1, label)), ZeroSection(pt), ZeroSection(pt)]
+        q = make_section_query(bundle, 1, insertions)
+        assert relative_invariant_with_reason(q) == (expected, None)
 
 
 def test_min_normal_chern():

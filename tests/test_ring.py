@@ -210,7 +210,7 @@ def test_dual_basis_examples():
     assert ring.dual_basis(pt)[0].label == "1"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_shriek_projection_formula(n):
     div = ring.hyperplane_divisor(n)
     ambient, z = div.ambient, div.divisor
