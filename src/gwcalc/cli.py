@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 from . import degeneration, partitions, quantum, relative, ring
 from .errors import HypothesisViolated, Inapplicable, UnsupportedQuery
@@ -24,6 +26,41 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"usage error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _exact(value) -> str:
+    """str(value) of an int or Fraction, at any number of digits.
+
+    str() of an int past Python's int-to-text limit (4300 digits by default)
+    raises ValueError; str() of a Decimal does not.  The limit is
+    process-wide and main() runs inside other programs, so it is left alone.
+    """
+    value = Fraction(value)
+    text = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return text
+    return f"{text}/{Decimal(value.denominator)}"
+
+
+def _report_json(report: degeneration.ComparisonReport, include_terms: bool) -> dict:
+    data = {
+        "status": report.status,
+        "lhs": None if report.lhs is None else _exact(report.lhs),
+        "rhs": None if report.rhs is None else _exact(report.rhs),
+        "equal": report.equal,
+    }
+    if include_terms:
+        data["terms"] = [
+            {
+                "partition": partitions.partition_to_text(mu),
+                "delta": partitions.delta_factor(mu),
+                "value": _exact(v),
+            }
+            for mu, _, v in report.terms
+        ]
+    if report.detail:
+        data["detail"] = report.detail
+    return data
 
 
 def _emit(payload: dict, summary: str) -> None:
@@ -69,9 +106,9 @@ def _parse_rel_insertion(space: ring.Space, chunk: str):
 def _cmd_abs(args) -> int:
     space = ring.make_space(args.space)
     insertions = _parse_insertions(space, args.insertions)
-    value = quantum.gw_invariant(space, args.degree, insertions)
+    value = _exact(quantum.gw_invariant(space, args.degree, insertions))
     _emit(
-        {"status": "ok", "value": str(value)},
+        {"status": "ok", "value": value},
         f"<{args.insertions}>_{args.degree} on {space} = {value}",
     )
     return EXIT_OK
@@ -80,7 +117,7 @@ def _cmd_abs(args) -> int:
 def _cmd_nd(args) -> int:
     if args.max < 1:
         raise ValueError("--max must be at least 1")
-    table = {str(d): str(quantum.wdvv_nd(d)) for d in range(1, args.max + 1)}
+    table = {str(d): _exact(quantum.wdvv_nd(d)) for d in range(1, args.max + 1)}
     _emit(table, f"plane-curve counts through 3d-1 points, d <= {args.max}")
     return EXIT_OK
 
@@ -131,7 +168,8 @@ def _cmd_rel(args) -> int:
             f"vanishes: {reason}",
         )
         return EXIT_OK
-    _emit({"status": "ok", "value": str(value)}, f"relative invariant = {value}")
+    text = _exact(value)
+    _emit({"status": "ok", "value": text}, f"relative invariant = {text}")
     return EXIT_OK
 
 
@@ -160,8 +198,9 @@ def _cmd_verify(args) -> int:
         alphas = _parse_insertions(x, args.alphas)
         betas = _parse_insertions(z, args.betas)
         report = degeneration.verify_comparison(cut, args.degree, alphas, betas)
-        payload = report.to_json(include_terms=args.verbose)
-        _emit(payload, f"lhs={report.lhs} rhs={report.rhs} equal={report.equal}")
+        payload = _report_json(report, args.verbose)
+        summary = f"lhs={payload['lhs']} rhs={payload['rhs']} equal={report.equal}"
+        _emit(payload, summary)
         return EXIT_OK if report.status == "ok" else EXIT_UNSUPPORTED
     if args.testbed == "p1-pt":
         m = args.points
@@ -171,9 +210,13 @@ def _cmd_verify(args) -> int:
         alphas = [ring.point_class(x)] * (m - 1)
         betas = [ring.unit(z)]
         report = degeneration.verify_comparison(cut, 1, alphas, betas)
-        payload = {"equal": report.equal, "lhs": str(report.lhs), "rhs": str(report.rhs)}
+        payload = {
+            "equal": report.equal,
+            "lhs": _exact(report.lhs),
+            "rhs": _exact(report.rhs),
+        }
         if args.verbose:
-            payload["terms"] = report.to_json()["terms"]
+            payload["terms"] = _report_json(report, True)["terms"]
         _emit(payload, f"{m}-point identity on the line: equal={report.equal}")
         return EXIT_OK if report.status == "ok" else EXIT_UNSUPPORTED
     if args.max_degree < 1:
@@ -187,7 +230,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "testbed": args.testbed,
         "equal": all(r.equal for r in reports if r.equal is not None) and ok,
-        "cases": [r.to_json(include_terms=args.verbose) for r in reports],
+        "cases": [_report_json(r, args.verbose) for r in reports],
     }
     _emit(payload, f"{len(reports)} comparison cases, equal={payload['equal']}")
     return EXIT_OK if ok else EXIT_UNSUPPORTED
@@ -203,7 +246,7 @@ def _cmd_solve(args) -> int:
     betas = _parse_insertions(z, args.betas)
     table = degeneration.solve_relative(cut, args.degree, alphas, betas)
     rows = sorted(
-        (partitions.partition_to_text(mu), str(v)) for mu, v in table.items()
+        (partitions.partition_to_text(mu), _exact(v)) for mu, v in table.items()
     )
     _emit(
         {"status": "ok", "table": [{"partition": p, "value": v} for p, v in rows]},
@@ -218,14 +261,14 @@ def _cmd_lift(args) -> int:
     payload = {
         "status": "ok",
         "stage": result.stage,
-        "value": str(result.value),
+        "value": _exact(result.value),
         "query": {
             "space": str(result.query.space),
             "degree": result.query.degree,
             "insertions": [str(i) for i in result.query.insertions],
         },
     }
-    _emit(payload, f"lifted witness ({result.stage}) with value {result.value}")
+    _emit(payload, f"lifted witness ({result.stage}) with value {payload['value']}")
     return EXIT_OK
 
 
@@ -242,9 +285,9 @@ def _cmd_rc(args) -> int:
         "status": "ok",
         "degree": witness.query.degree,
         "insertions": [str(i) for i in witness.query.insertions],
-        "value": str(witness.value),
+        "value": _exact(witness.value),
     }
-    _emit(payload, f"certificate in degree {witness.query.degree}: {witness.value}")
+    _emit(payload, f"certificate in degree {witness.query.degree}: {payload['value']}")
     return EXIT_OK
 
 

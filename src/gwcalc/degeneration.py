@@ -46,7 +46,7 @@ from .ring import (
     Space,
     basis,
     basis_element,
-    cup_all,
+    cup,
     dual_basis,
     generator_class,
     h2_pairing,
@@ -173,15 +173,27 @@ def _comparison_lattice(z_space: Space, betas, weight: int):
     ``mu`` pairs each block product with tangency one and fills the
     remaining tangency with unit-weighted pairs.
     """
+    # Each distinct block is multiplied once per walk, left to right as in
+    # cup_all, extending the product of the block less its last index.
+    products = {(): unit(z_space)}
+
+    def product(block):
+        if block not in products:
+            products[block] = cup(product(block[:-1]), betas[block[-1]])
+        return products[block]
+
     for blocks in set_partitions(range(len(betas))):
         if len(blocks) > weight:
             break
-        gammas = [cup_all(z_space, (betas[i] for i in block)) for block in blocks]
-        if any(g.is_zero() for g in gammas):
-            continue
-        pairs = [WeightedPair(1, g) for g in gammas]
-        pairs += [WeightedPair(1, unit(z_space))] * (weight - len(blocks))
-        yield blocks, gammas, weighted_partition(z_space, pairs)
+        gammas = []
+        for block in blocks:
+            gammas.append(product(block))
+            if gammas[-1].is_zero():
+                break
+        else:
+            pairs = [WeightedPair(1, g) for g in gammas]
+            pairs += [WeightedPair(1, unit(z_space))] * (weight - len(blocks))
+            yield blocks, gammas, weighted_partition(z_space, pairs)
 
 
 def comparison_partitions(
@@ -301,10 +313,13 @@ def solve_relative(
     ambient = cut.divisor.ambient
     solved: dict[tuple, Fraction] = {}
     table: dict[WeightedPartition, Fraction] = {}
+    # Each distinct block is transferred once per call.
+    transfers: dict[tuple[int, ...], RingElement] = {}
     for blocks, gammas, mu in _comparison_lattice(z_space, betas, weight):
-        insertions = alphas + tuple(
-            shriek_pushforward(cut.divisor, g) for g in gammas
-        )
+        for block, g in zip(blocks, gammas):
+            if block not in transfers:
+                transfers[block] = shriek_pushforward(cut.divisor, g)
+        insertions = alphas + tuple(transfers[block] for block in blocks)
         try:
             lhs = gw_invariant(ambient, degree, insertions)
         except UnsupportedQuery as exc:
@@ -356,26 +371,6 @@ class ComparisonReport:
     equal: bool | None
     terms: tuple
     detail: str = ""
-
-    def to_json(self, include_terms: bool = True) -> dict:
-        data = {
-            "status": self.status,
-            "lhs": None if self.lhs is None else str(self.lhs),
-            "rhs": None if self.rhs is None else str(self.rhs),
-            "equal": self.equal,
-        }
-        if include_terms:
-            data["terms"] = [
-                {
-                    "partition": partition_to_text(mu),
-                    "delta": delta_factor(mu),
-                    "value": str(v),
-                }
-                for mu, _, v in self.terms
-            ]
-        if self.detail:
-            data["detail"] = self.detail
-        return data
 
 
 def verify_comparison(

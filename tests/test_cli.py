@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from gwcalc.cli import main
+from gwcalc.quantum import wdvv_nd
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,6 +23,24 @@ def test_nd_table(capsys):
     code, out, _ = run(capsys, ["nd", "--max", "3"])
     assert code == 0
     assert json.loads(out) == {"1": "1", "2": "1", "3": "12"}
+
+
+def test_nd_beyond_int_text_limit():
+    # N_120 has 654 digits; the CLI must print it under a 640-digit limit
+    # on int-to-str conversion without raising that limit for its process.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    limit = ["-X", "int_max_str_digits=640"]
+    proc = subprocess.run(
+        [sys.executable, *limit, "-m", "gwcalc.cli", "nd", "--max", "120"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(proc.stdout)
+    assert len(table["120"]) == 654
+    assert table == {str(d): str(wdvv_nd(d)) for d in range(1, 121)}
 
 
 def test_abs_plane(capsys):

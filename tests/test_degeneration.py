@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from gwcalc import ring
+from gwcalc import degeneration, ring
 from gwcalc.degeneration import (
     AmbientInsertion,
     ShriekInsertion,
@@ -25,7 +25,13 @@ from gwcalc.degeneration import (
     _minimal_partition,
 )
 from gwcalc.errors import HypothesisViolated, Inapplicable
-from gwcalc.partitions import deg, pairs_of, total_weight
+from gwcalc.partitions import (
+    WeightedPair,
+    deg,
+    pairs_of,
+    total_weight,
+    weighted_partition,
+)
 from gwcalc.quantum import gw_invariant
 from gwcalc.relative import fiber_vanishing
 
@@ -95,6 +101,65 @@ def test_comparison_partitions_weight_error():
     z = P2_CUT.divisor.divisor
     with pytest.raises(ValueError):
         comparison_partitions(z, [ring.unit(z)], 0)
+
+
+def _reference_partitions(z, betas, weight):
+    """The comparison partitions with every block product taken afresh."""
+    out = []
+    for blocks in set_partitions(range(len(betas))):
+        if len(blocks) > weight:
+            continue
+        gammas = [ring.cup_all(z, [betas[i] for i in block]) for block in blocks]
+        if any(g.is_zero() for g in gammas):
+            continue
+        pairs = [WeightedPair(1, g) for g in gammas]
+        pairs += [WeightedPair(1, ring.unit(z))] * (weight - len(blocks))
+        out.append((weighted_partition(z, pairs), blocks))
+    return out
+
+
+@pytest.mark.parametrize("name", ["p1-pt", "p2-line"])
+def test_comparison_partitions_match_reference(name):
+    # Same entries, same order, same repeats as the per-block products, for
+    # up to six transfers from the basis: {1} on the point, {1, h} on P^1.
+    z = named_testbed(name).divisor.divisor
+    for betas in _beta_families(z, 6):
+        for weight in range(1, 5):
+            assert comparison_partitions(z, betas, weight) == (
+                _reference_partitions(z, betas, weight)
+            ), (name, betas, weight)
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Patch ``name`` in each module with one counting wrapper."""
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def test_comparison_walk_multiplies_each_block_once(monkeypatch):
+    # Seven transfers have 2^7 - 1 = 127 nonempty blocks, each one cup from
+    # its prefix; taking every block's product afresh costs 7 * Bell(7).
+    calls = _count_calls(monkeypatch, [ring, degeneration], "cup")
+    z = P1_CUT.divisor.divisor
+    out = comparison_partitions(z, [ring.unit(z)] * 7, 7)
+    assert len(out) == 877
+    assert len(calls) <= 2**7 - 1
+
+
+def test_solver_transfers_each_block_once(monkeypatch):
+    calls = _count_calls(monkeypatch, [degeneration], "shriek_pushforward")
+    z = P1_CUT.divisor.divisor
+    table = solve_relative(P1_CUT, 6, (), [ring.unit(z)] * 6, require_hypothesis=False)
+    assert table
+    assert len(calls) <= 2**6 - 1
 
 
 def test_comparison_rhs_line_point_identity():
