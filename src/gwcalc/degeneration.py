@@ -164,15 +164,19 @@ def _partitions_into(items: tuple, count: int):
             yield (tuple(items[i] for i in block),) + tail
 
 
-def _comparison_lattice(z_space: Space, betas, weight: int):
+@lru_cache(maxsize=1)
+def _comparison_lattice(z_space: Space, betas: tuple, weight: int) -> tuple:
     """Walk the set-partition lattice of the transferred classes, coarsest
     first.
 
-    Yields (blocks, gammas, mu) for every set partition into at most
+    Returns (blocks, gammas, mu) for every set partition into at most
     ``weight`` blocks whose block products ``gammas`` are all nonzero;
     ``mu`` pairs each block product with tangency one and fills the
-    remaining tangency with unit-weighted pairs.
+    remaining tangency with unit-weighted pairs.  The last walk is kept, so
+    a round trip's solve and right-hand side share one walk.
     """
+    if betas and weight < 1:
+        raise ValueError("positive tangency weight required with insertions")
     # Each distinct block is multiplied once per walk, left to right as in
     # cup_all, extending the product of the block less its last index.
     products = {(): unit(z_space)}
@@ -182,6 +186,7 @@ def _comparison_lattice(z_space: Space, betas, weight: int):
             products[block] = cup(product(block[:-1]), betas[block[-1]])
         return products[block]
 
+    walk = []
     for blocks in set_partitions(range(len(betas))):
         if len(blocks) > weight:
             break
@@ -193,7 +198,8 @@ def _comparison_lattice(z_space: Space, betas, weight: int):
         else:
             pairs = [WeightedPair(1, g) for g in gammas]
             pairs += [WeightedPair(1, unit(z_space))] * (weight - len(blocks))
-            yield blocks, gammas, weighted_partition(z_space, pairs)
+            walk.append((blocks, tuple(gammas), weighted_partition(z_space, pairs)))
+    return tuple(walk)
 
 
 def comparison_partitions(
@@ -208,11 +214,9 @@ def comparison_partitions(
     dropped.  Entries repeat when distinct set partitions produce equal
     weighted partitions; the multiplicity is part of the identity.
     """
-    betas = list(betas)
-    if betas and weight < 1:
-        raise ValueError("positive tangency weight required with insertions")
     return [
-        (mu, blocks) for blocks, _, mu in _comparison_lattice(z_space, betas, weight)
+        (mu, blocks)
+        for blocks, _, mu in _comparison_lattice(z_space, tuple(betas), weight)
     ]
 
 

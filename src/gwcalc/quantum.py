@@ -262,9 +262,15 @@ def gw_invariant(space: Space, degree: int, insertions) -> Fraction:
     dimension.  Queries outside the supported reductions raise
     UnsupportedQuery.
     """
+    return _gw_invariant(space, degree, tuple(insertions))
+
+
+@lru_cache(maxsize=None)
+def _gw_invariant(space: Space, degree: int, insertions: tuple) -> Fraction:
+    # Memoised on the insertion tuple as given; a refusal raises again on
+    # every call, because lru_cache keeps no exceptions.
     if degree < 0:
         raise ValueError("curve degree must be nonnegative")
-    insertions = tuple(insertions)
     for ins in insertions:
         if ins.space != space:
             raise ValueError("insertion lives on the wrong space")
@@ -400,6 +406,8 @@ def rc_certificate(space: Space, k_points: int, max_degree: int) -> Witness | No
     """
     if k_points < 0:
         raise ValueError("k_points must be nonnegative")
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
     for degree in range(1, max_degree + 1):
         witness = _certificate_in_degree(space, degree, k_points)
         if witness is not None:

@@ -506,12 +506,14 @@ def restrict(div: DivisorDescriptor, a: RingElement) -> RingElement:
     return out
 
 
+@lru_cache(maxsize=None)
 def shriek_pushforward(div: DivisorDescriptor, beta: RingElement) -> RingElement:
     """The degree-raising transfer of a divisor class into the ambient space.
 
     Characterised by the projection formula: pairing the image against any
     ambient class equals pairing beta against that class restricted to Z.
-    It is linear, so it is read off the divisor's ``transfer`` table.
+    It is linear, so it is read off the divisor's ``transfer`` table, and
+    memoised on (divisor, class).
     """
     if div.ambient is None or div.transfer is None:
         raise ValueError("divisor has no ambient model")

@@ -239,6 +239,23 @@ def test_verify_empty_battery(capsys):
         assert "--max-degree must be at least 1" in err
 
 
+def test_rc_empty_search_range(capsys):
+    for max_degree in ("0", "-1"):
+        argv = ["rc", "--space", "gr:2:4", "--k", "1", "--max-degree", max_degree]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "max_degree must be at least 1" in err
+
+
+def test_solve_weight_zero(capsys):
+    argv = ["solve", "relative", "--testbed", "p1-pt", "--betas", "1,1", "--degree", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "positive tangency weight required with insertions" in err
+
+
 def test_missing_subcommand_exit_code(capsys):
     assert run(capsys, [])[0] == 1
 

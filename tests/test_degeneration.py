@@ -162,6 +162,48 @@ def test_solver_transfers_each_block_once(monkeypatch):
     assert len(calls) <= 2**6 - 1
 
 
+def test_comparison_rhs_reuses_the_solver_walk(monkeypatch):
+    # A round trip walks the lattice once: the right-hand side after the
+    # solver on the same query multiplies no block again.
+    degeneration._comparison_lattice.cache_clear()
+    calls = _count_calls(monkeypatch, [ring, degeneration], "cup")
+    z = P1_CUT.divisor.divisor
+    alphas = (ring.point_class(P1_CUT.divisor.ambient),)
+    betas = (ring.unit(z),) * 5
+    table = solve_relative(P1_CUT, 5, alphas, betas, require_hypothesis=False)
+    assert calls
+    calls.clear()
+    comparison_rhs(
+        P1_CUT, 5, alphas, betas, table_oracle(table), require_hypothesis=False
+    )
+    assert calls == []
+
+
+def test_solver_table_is_fresh_per_call():
+    z = P2_CUT.divisor.divisor
+    pt_x = ring.point_class(P2_CUT.divisor.ambient)
+    args = (P2_CUT, 2, (pt_x, pt_x), (ring.point_class(z), ring.point_class(z)))
+    first = solve_relative(*args, require_hypothesis=False)
+    expected = dict(first)
+    for mu in first:
+        first[mu] += 1
+    first.clear()
+    assert solve_relative(*args, require_hypothesis=False) == expected
+
+
+def test_zero_weight_with_transfers_refused():
+    # Degree 0 leaves no tangency for the transferred classes; the walk
+    # refuses, so the solver, the right-hand side and verification do too.
+    one = ring.unit(P1_CUT.divisor.divisor)
+    match = "positive tangency weight required with insertions"
+    with pytest.raises(ValueError, match=match):
+        solve_relative(P1_CUT, 0, (), (one, one))
+    with pytest.raises(ValueError, match=match):
+        comparison_rhs(P1_CUT, 0, (), (one, one), lambda *a: Fraction(0))
+    with pytest.raises(ValueError, match=match):
+        verify_comparison(P2_CUT, 0, (), (ring.unit(P2_CUT.divisor.divisor),))
+
+
 def test_comparison_rhs_line_point_identity():
     x = P1_CUT.divisor.ambient
     z = P1_CUT.divisor.divisor

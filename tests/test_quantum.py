@@ -1,10 +1,11 @@
 """Quantum oracle tests: dimension formula, plane-curve counts against an
 independently coded recursion, rim-hook products, and certificate search."""
 
+import json
 import os
 import subprocess
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ P1 = ring.projective_space(1)
 P2 = ring.projective_space(2)
 G24 = ring.grassmannian(2, 4)
 G13 = ring.grassmannian(1, 3)
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def brute_plane_counts(limit):
@@ -183,6 +185,36 @@ def test_gw_grassmannian_values():
     assert gw_invariant(G24, 1, [s2, s11, pt]) == 1
 
 
+def test_gw_invariant_insertion_forms():
+    # The memo keys on the insertion tuple as given: lists, tuples,
+    # generators, permutations and repeated calls all give one value.
+    pt = ring.point_class(G24)
+    s2 = ring.by_label(G24, "s2")
+    s11 = ring.by_label(G24, "s11")
+    for _ in range(2):
+        for order in permutations((s2, s11, pt)):
+            assert gw_invariant(G24, 1, list(order)) == 1
+            assert gw_invariant(G24, 1, tuple(order)) == 1
+            assert gw_invariant(G24, 1, (x for x in order)) == 1
+        assert gw_invariant(P2, 3, [ring.point_class(P2)] * 8) == 12
+
+
+def test_gw_invariant_refusals_repeat():
+    # A refusal is never memoised: the identical call refuses again.
+    p = ring.point_class(P2)
+    mixed = ring.unit(P2) + p
+    cases = [
+        (ValueError, "nonnegative", (P2, -1, [p, p])),
+        (ValueError, "wrong space", (P2, 1, [ring.point_class(P1), p])),
+        (ValueError, "homogeneous", (P2, 1, [mixed, mixed])),
+        (UnsupportedQuery, "three", (G24, 1, [ring.by_label(G24, "s2")] * 5)),
+    ]
+    for exc, match, args in cases:
+        for _ in range(2):
+            with pytest.raises(exc, match=match):
+                gw_invariant(*args)
+
+
 def test_gw_grassmannian_unsupported_shape():
     # Dimensionally consistent (five degree-4 insertions at degree 1), but
     # not reducible to a three-point constant: must refuse, not guess.
@@ -248,6 +280,39 @@ def test_quantum_associativity_gr24():
         for b in lifts:
             for c in lifts:
                 assert star(star(a, b), c) == star(a, star(b, c))
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
+def test_quantum_associativity_and_commutativity(k, n):
+    space = ring.grassmannian(k, n)
+    lifts = [
+        quantum_lift(ring.basis_element(space, b.index)) for b in ring.basis(space)
+    ]
+    for a in lifts:
+        for b in lifts:
+            ab = star(a, b)
+            assert ab == star(b, a)
+            for c in lifts:
+                assert star(ab, c) == star(a, star(b, c))
+
+
+def test_quantum_tables_script():
+    script = ROOT / "scripts" / "quantum_tables.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--space", "gr:2:4", "--nd-max", "5"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    payload = json.loads(proc.stdout)
+    assert payload["space"] == "gr:2:4"
+    assert payload["plane_curve_counts"] == {
+        "1": "1", "2": "1", "3": "12", "4": "620", "5": "87304"
+    }
+    products = payload["quantum_products"]
+    assert products["s1 * s1"] == {"s2": "1", "s11": "1"}
+    assert products["s1 * s21"] == {"s22": "1", "q^1*1": "1"}
+    assert products["s22 * s22"] == {"q^2*1": "1"}
 
 
 def test_grassmannian_point_power_formula():
