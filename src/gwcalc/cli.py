@@ -125,7 +125,9 @@ def _cmd_nd(args) -> int:
 def _cmd_ring(args) -> int:
     space = ring.make_space(args.space)
     if args.cup:
-        a_text, b_text = args.cup.split(",", 1)
+        a_text, comma, b_text = args.cup.partition(",")
+        if not comma:
+            raise ValueError(f"--cup expects two class labels '<a>,<b>', got {args.cup!r}")
         product = ring.cup(ring.by_label(space, a_text), ring.by_label(space, b_text))
         _emit(
             {"status": "ok", "value": ring.element_to_json(product)},
@@ -153,7 +155,12 @@ def _cmd_rel(args) -> int:
     text = args.cls.strip().upper()
     if text.endswith("F"):
         s = int(text[:-1])
-        mu = partitions.parse_partition(bundle.base, args.partition)
+        try:
+            mu = partitions.parse_partition(bundle.base, args.partition)
+        except ValueError as exc:
+            raise ValueError(
+                f"--partition expects '(<m>,<label>)' pairs joined by '+': {exc}"
+            ) from exc
         query = relative.make_fiber_query(bundle, s, insertions, mu)
     elif text.endswith("A"):
         if args.partition.strip() not in ("", "empty", "()"):

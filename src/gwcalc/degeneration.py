@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from itertools import product as _cartesian
 
 from .errors import HypothesisViolated, Inapplicable, UnsupportedQuery
@@ -144,37 +143,52 @@ def set_partitions(items):
     items = tuple(items)
     # No items have one partition, into no blocks.
     for count in range(min(1, len(items)), len(items) + 1):
-        yield from _partitions_into(items, count)
+        for blocks in _index_partitions(len(items), count):
+            yield tuple(tuple(items[i] for i in block) for block in blocks)
 
 
-def _partitions_into(items: tuple, count: int):
-    """The set partitions of ``items`` into exactly ``count`` blocks."""
-    if count <= 1:
-        yield (items,) if items else ()
-        return
-    # The first block takes item 0 and leaves an item for each later block.
-    for extra in sorted(
-        chosen
-        for size in range(len(items) - count + 1)
-        for chosen in combinations(range(1, len(items)), size)
-    ):
-        block = (0,) + extra
-        rest = tuple(x for i, x in enumerate(items) if i not in block)
-        for tail in _partitions_into(rest, count - 1):
-            yield (tuple(items[i] for i in block),) + tail
+@lru_cache(maxsize=None)
+def _index_partitions(n: int, count: int) -> tuple:
+    """The set partitions of ``range(n)`` into exactly ``count`` blocks, in
+    the canonical order of ``set_partitions``, built once per size."""
+    if count == n:
+        return (tuple((i,) for i in range(n)),)
+    if not 0 < count < n:
+        return ()
+    last = n - 1
+    # Item n - 1 joins a block of a partition of the others, or is a block.
+    grown = [
+        blocks[:j] + (blocks[j] + (last,),) + blocks[j + 1 :]
+        for blocks in _index_partitions(last, count)
+        for j in range(count)
+    ]
+    grown += [blocks + ((last,),) for blocks in _index_partitions(last, count - 1)]
+    return tuple(sorted(grown))
 
 
-@lru_cache(maxsize=1)
-def _comparison_lattice(z_space: Space, betas: tuple, weight: int) -> tuple:
+# The last complete walk as (arguments, entries): one tuple, replaced whole,
+# so a reader sees either the previous walk or the next, never part of one.
+_last_walk: tuple = (None, ())
+
+
+def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
     """Walk the set-partition lattice of the transferred classes, coarsest
     first.
 
-    Returns (blocks, gammas, mu) for every set partition into at most
+    Yields (blocks, gammas, mu) for every set partition into at most
     ``weight`` blocks whose block products ``gammas`` are all nonzero;
     ``mu`` pairs each block product with tangency one and fills the
-    remaining tangency with unit-weighted pairs.  The last walk is kept, so
-    a round trip's solve and right-hand side share one walk.
+    remaining tangency with unit-weighted pairs.  Entries are built as they
+    are read, and the last walk read to its end is kept, so a round trip's
+    solve and right-hand side share one walk while a solve that stops early
+    builds only what it read.
     """
+    global _last_walk
+    key = (z_space, betas, weight)
+    memo = _last_walk
+    if memo[0] == key:
+        yield from memo[1]
+        return
     if betas and weight < 1:
         raise ValueError("positive tangency weight required with insertions")
     # Each distinct block is multiplied once per walk, left to right as in
@@ -187,19 +201,20 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int) -> tuple:
         return products[block]
 
     walk = []
-    for blocks in set_partitions(range(len(betas))):
-        if len(blocks) > weight:
-            break
-        gammas = []
-        for block in blocks:
-            gammas.append(product(block))
-            if gammas[-1].is_zero():
-                break
-        else:
-            pairs = [WeightedPair(1, g) for g in gammas]
-            pairs += [WeightedPair(1, unit(z_space))] * (weight - len(blocks))
-            walk.append((blocks, tuple(gammas), weighted_partition(z_space, pairs)))
-    return tuple(walk)
+    for count in range(min(1, len(betas)), min(weight, len(betas)) + 1):
+        for blocks in _index_partitions(len(betas), count):
+            gammas = []
+            for block in blocks:
+                gammas.append(product(block))
+                if gammas[-1].is_zero():
+                    break
+            else:
+                pairs = [WeightedPair(1, g) for g in gammas]
+                pairs += [WeightedPair(1, unit(z_space))] * (weight - count)
+                entry = (blocks, tuple(gammas), weighted_partition(z_space, pairs))
+                walk.append(entry)
+                yield entry
+    _last_walk = (key, tuple(walk))
 
 
 def comparison_partitions(
@@ -331,14 +346,16 @@ def solve_relative(
                 f"absolute oracle cannot evaluate the merged query for blocks "
                 f"{blocks}: {exc}"
             ) from exc
-        # The strict coarsenings of P are the groupings of its blocks before
-        # the finest; those the walk skipped contribute nothing.
+        # The strict coarsenings of P are the groupings of its blocks into
+        # fewer blocks; those the walk skipped contribute nothing.
         coarser_sum = Fraction(0)
-        for groups in set_partitions(blocks):
-            if len(groups) == len(blocks):
-                break
-            merged = tuple(tuple(sorted(i for b in group for i in b)) for group in groups)
-            coarser_sum += solved.get(merged, 0)
+        for count in range(1, len(blocks)):
+            for groups in _index_partitions(len(blocks), count):
+                merged = tuple(
+                    tuple(sorted(i for g in group for i in blocks[g]))
+                    for group in groups
+                )
+                coarser_sum += solved.get(merged, 0)
         solved[blocks] = lhs - coarser_sum
         if mu in table:
             # Deliberately still an assert: perfbench/golden.json stores this

@@ -206,10 +206,14 @@ def parse_partition(space: Space, text: str) -> WeightedPartition:
     pairs = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
-        if not (chunk.startswith("(") and chunk.endswith(")")):
+        m_text, comma, label = chunk[1:-1].partition(",")
+        if not (chunk.startswith("(") and chunk.endswith(")") and comma):
             raise ValueError(f"bad partition chunk {chunk!r}")
-        m_text, label = chunk[1:-1].split(",", 1)
-        pairs.append(WeightedPair(int(m_text), by_label(space, label.strip())))
+        try:
+            m = int(m_text)
+        except ValueError:
+            raise ValueError(f"bad multiplicity {m_text!r} in {chunk!r}") from None
+        pairs.append(WeightedPair(m, by_label(space, label.strip())))
     return weighted_partition(space, pairs)
 
 

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from gwcalc.cli import main
 from gwcalc.quantum import wdvv_nd
 
@@ -206,6 +208,28 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, ["abs", "--space", "zzz", "--degree", "1"])
     assert code == 1
     assert "error" in err
+
+
+def test_cup_without_second_label_names_the_flag(capsys):
+    code, out, err = run(capsys, ["ring", "--space", "gr:2:4", "--cup", "s1"])
+    assert code == 1
+    assert out == ""
+    assert "--cup expects two class labels '<a>,<b>', got 's1'" in err
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("(2)", "bad partition chunk '(2)'"),
+        ("(x,pt)", "bad multiplicity 'x' in '(x,pt)'"),
+    ],
+)
+def test_malformed_partition_names_the_flag(capsys, text, detail):
+    argv = ["rel", "--bundle", "pt:c1=0", "--class", "1F", "--partition", text]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"--partition expects '(<m>,<label>)' pairs joined by '+': {detail}" in err
 
 
 def test_truncated_grassmannian_descriptor(capsys):

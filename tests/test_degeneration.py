@@ -39,21 +39,36 @@ P1_CUT = named_testbed("p1-pt")
 P2_CUT = named_testbed("p2-line")
 
 
+def _reference_set_partitions(n):
+    """Every set partition of range(n): each item joins an existing block or
+    opens a new one; then coarsest first, lexicographic among equals."""
+    parts = [()]
+    for item in range(n):
+        parts = [
+            p[:j] + (p[j] + (item,),) + p[j + 1 :] for p in parts for j in range(len(p))
+        ] + [p + ((item,),) for p in parts]
+    return sorted(parts, key=lambda p: (len(p), p))
+
+
 def test_set_partitions_counts():
-    # Bell numbers 1, 1, 2, 5, 15, 52, 203.
-    for n, bell in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)]:
+    # Bell numbers 1, 1, 2, 5, 15, 52, 203, 877, 4140.
+    bells = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    for n, bell in enumerate(bells):
         parts = list(set_partitions(list(range(n))))
         assert len(parts) == bell
-        assert len(set(parts)) == bell
-        # Coarsest first, lexicographic among equally many blocks, each in
-        # canonical form: a tuple of increasing tuples ordered by first item,
-        # covering every item once.
-        assert parts == sorted(parts, key=lambda p: (len(p), p))
+        assert parts == _reference_set_partitions(n)
+        # Each in canonical form: a tuple of increasing tuples ordered by
+        # first item, covering every item once.
         for p in parts:
             assert isinstance(p, tuple)
             assert all(isinstance(b, tuple) and list(b) == sorted(b) for b in p)
             assert [b[0] for b in p] == sorted(b[0] for b in p)
             assert sorted(i for b in p for i in b) == list(range(n))
+
+
+def test_set_partitions_map_items_in_order():
+    # Blocks keep the given order of the items, not their sorted order.
+    assert list(set_partitions("ba")) == [(("b", "a"),), (("b",), ("a",))]
 
 
 def test_comparison_partitions_single_beta():
@@ -106,7 +121,7 @@ def test_comparison_partitions_weight_error():
 def _reference_partitions(z, betas, weight):
     """The comparison partitions with every block product taken afresh."""
     out = []
-    for blocks in set_partitions(range(len(betas))):
+    for blocks in _reference_set_partitions(len(betas)):
         if len(blocks) > weight:
             continue
         gammas = [ring.cup_all(z, [betas[i] for i in block]) for block in blocks]
@@ -165,7 +180,7 @@ def test_solver_transfers_each_block_once(monkeypatch):
 def test_comparison_rhs_reuses_the_solver_walk(monkeypatch):
     # A round trip walks the lattice once: the right-hand side after the
     # solver on the same query multiplies no block again.
-    degeneration._comparison_lattice.cache_clear()
+    monkeypatch.setattr(degeneration, "_last_walk", (None, ()))
     calls = _count_calls(monkeypatch, [ring, degeneration], "cup")
     z = P1_CUT.divisor.divisor
     alphas = (ring.point_class(P1_CUT.divisor.ambient),)
@@ -177,6 +192,24 @@ def test_comparison_rhs_reuses_the_solver_walk(monkeypatch):
         P1_CUT, 5, alphas, betas, table_oracle(table), require_hypothesis=False
     )
     assert calls == []
+
+
+@pytest.mark.skipif(not __debug__, reason="python -O strips the solver's assert")
+def test_failed_solve_builds_only_what_it_read(monkeypatch):
+    # Outside the hypothesis, two set partitions with one weighted partition
+    # solve to different values early in the walk; the solver stops there,
+    # and the partial walk is not kept for the next caller.
+    monkeypatch.setattr(degeneration, "_last_walk", (None, ()))
+    calls = _count_calls(monkeypatch, [degeneration], "weighted_partition")
+    z = P2_CUT.divisor.divisor
+    alphas = (ring.point_class(P2_CUT.divisor.ambient),) * 8
+    betas = (ring.unit(z),) * 7
+    with pytest.raises(AssertionError):
+        solve_relative(P2_CUT, 3, alphas, betas, require_hypothesis=False)
+    assert len(calls) <= 5
+    expected = _reference_partitions(z, betas, 3)
+    assert len(expected) == 365
+    assert comparison_partitions(z, betas, 3) == expected
 
 
 def test_solver_table_is_fresh_per_call():

@@ -2,7 +2,7 @@
 pairing nondegeneracy, and the transfer map's projection formula."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -119,6 +119,31 @@ def test_cup_commutative_associative(space):
         assert ring.cup(a, b) == ring.cup(b, a)
     for a, b, c in combinations_with_replacement(elems, 3):
         assert ring.cup(ring.cup(a, b), c) == ring.cup(a, ring.cup(b, c))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_projective_ring_is_the_grassmannian_of_lines(n):
+    # P^n is Gr(1, n+1): under h^i <-> s_i the monomial ring and the
+    # Schubert ring have the same products and the same dual basis.
+    pn, gr = ring.projective_space(n), ring.grassmannian(1, n + 1)
+    schubert = {"1": "1", "h": "s1"}
+    schubert.update({f"h^{i}": f"s{i}" for i in range(2, n + 1)})
+    gr_index = {bc.label: bc.index for bc in ring.basis(gr)}
+    assert sorted(schubert.values()) == sorted(gr_index)
+
+    def as_schubert(a):
+        return {schubert[label]: c for label, c in ring.element_to_json(a).items()}
+
+    for a, b in product(ring.basis(pn), repeat=2):
+        mono = ring.cup(ring.basis_element(pn, a.index), ring.basis_element(pn, b.index))
+        schub = ring.cup(
+            ring.basis_element(gr, gr_index[schubert[a.label]]),
+            ring.basis_element(gr, gr_index[schubert[b.label]]),
+        )
+        assert as_schubert(mono) == ring.element_to_json(schub), (a.label, b.label)
+    gr_duals = ring.dual_basis(gr)
+    for bc, dual in zip(ring.basis(pn), ring.dual_basis(pn)):
+        assert schubert[dual.label] == gr_duals[gr_index[schubert[bc.label]]].label
 
 
 def test_integrate():
