@@ -74,12 +74,20 @@ def _parse_insertions(space: ring.Space, text: str) -> list[ring.RingElement]:
     return [ring.by_label(space, chunk) for chunk in text.split(",")]
 
 
+def _integer(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _parse_bundle(text: str) -> relative.BundleSpec:
     """Bundle descriptors look like "p1:c1=1" or "pt:c1=0"."""
     head, _, tail = text.rpartition(":")
-    if not head or not tail.startswith("c1="):
-        raise ValueError(f"bundle descriptor {text!r} needs a ':c1=<int>' suffix")
-    return relative.BundleSpec(ring.make_space(head), int(tail[3:]))
+    c1 = _integer(tail[3:]) if tail.startswith("c1=") else None
+    if not head or c1 is None:
+        raise ValueError(f"bundle descriptor {text!r} must be '<space>:c1=<int>'")
+    return relative.BundleSpec(ring.make_space(head), c1)
 
 
 def _parse_rel_insertion(space: ring.Space, chunk: str):
@@ -153,21 +161,23 @@ def _cmd_rel(args) -> int:
         for chunk in (args.insertions.split(",") if args.insertions else [])
     ]
     text = args.cls.strip().upper()
+    count = _integer(text[:-1])
+    if count is None or text[-1:] not in ("F", "A"):
+        raise ValueError(
+            f"--class expects <s>F (fiber) or <d>A (section), got {args.cls!r}"
+        )
     if text.endswith("F"):
-        s = int(text[:-1])
         try:
             mu = partitions.parse_partition(bundle.base, args.partition)
         except ValueError as exc:
             raise ValueError(
                 f"--partition expects '(<m>,<label>)' pairs joined by '+': {exc}"
             ) from exc
-        query = relative.make_fiber_query(bundle, s, insertions, mu)
-    elif text.endswith("A"):
+        query = relative.make_fiber_query(bundle, count, insertions, mu)
+    else:
         if args.partition.strip() not in ("", "empty", "()"):
             raise ValueError("section classes only support the empty partition")
-        query = relative.make_section_query(bundle, int(text[:-1]), insertions)
-    else:
-        raise ValueError(f"curve class {args.cls!r} must end in F (fiber) or A (section)")
+        query = relative.make_section_query(bundle, count, insertions)
     value, reason = relative.relative_invariant_with_reason(query)
     if reason is not None:
         _emit(

@@ -13,7 +13,6 @@ divisor-to-ambient lift for point-constrained witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -58,10 +57,10 @@ from .ring import (
     shriek_pushforward,
     unit,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CutSpec:
+class CutSpec(Value):
     """A divisor with an ambient model, together with the completed normal
     bundle glued in by the cut."""
 
@@ -100,16 +99,14 @@ def divisor_weight(cut: CutSpec, degree: int) -> int:
 # Insertion splitting.
 
 
-@dataclass(frozen=True)
-class AmbientInsertion:
+class AmbientInsertion(Value):
     """Insertion supported away from the divisor: it stays on the X side and
     restricts to a pullback on the bundle side."""
 
     cls: RingElement
 
 
-@dataclass(frozen=True)
-class ShriekInsertion:
+class ShriekInsertion(Value):
     """Insertion of the transfer of a divisor class, supported near the
     divisor: it vanishes on the X side and lands on the bundle side."""
 
@@ -384,8 +381,7 @@ def table_oracle(table: dict[WeightedPartition, Fraction]):
 # Full verification reports.
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Value):
     status: str
     lhs: Fraction | None
     rhs: Fraction | None
@@ -432,8 +428,7 @@ def verify_comparison(
 # Term-by-term degeneration of an absolute invariant.
 
 
-@dataclass(frozen=True)
-class BundleComponent:
+class BundleComponent(Value):
     """One bundle-side component: a fiber line carrying some transferred
     insertions and a single transverse tangency point."""
 
@@ -442,8 +437,7 @@ class BundleComponent:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class DegenerationTerm:
+class DegenerationTerm(Value):
     degree: int
     x_insertions: tuple[RingElement, ...]
     x_partition: WeightedPartition
@@ -462,8 +456,7 @@ class DegenerationTerm:
         }
 
 
-@dataclass(frozen=True)
-class TermEnumeration:
+class TermEnumeration(Value):
     terms: tuple[DegenerationTerm, ...]
     dropped: tuple[tuple[str, object], ...]
     total: Fraction
@@ -584,8 +577,7 @@ def enumerate_terms(
 # Divisor-to-ambient lift of point-constrained witnesses.
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Value):
     stage: str
     query: AbsoluteQuery
     value: Fraction

@@ -10,10 +10,10 @@ strict partial order on invariant keys used to pick minimal terms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import factorial, prod
 
 from .ring import RingElement, Space
+from .value import Value
 
 
 class Ordering(enum.Enum):
@@ -23,20 +23,20 @@ class Ordering(enum.Enum):
     INCOMPARABLE = 2
 
 
-@dataclass(frozen=True)
-class WeightedPair:
+class WeightedPair(Value):
     """A tangency multiplicity together with its cohomology weight."""
 
     multiplicity: int
     weight: RingElement
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
+    def __init__(self, multiplicity: int, weight: RingElement):
+        if multiplicity < 1:
             raise ValueError("tangency multiplicity must be positive")
-        if self.weight.is_zero():
+        if weight.is_zero():
             raise ValueError("weight class must be nonzero")
-        if self.weight.homogeneous_degree() is None:
+        if weight.homogeneous_degree() is None:
             raise ValueError("weight class must be homogeneous")
+        super().__init__(multiplicity, weight)
 
     @property
     def weight_degree(self) -> int:
@@ -66,8 +66,7 @@ def _canonical_key(pair: WeightedPair) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class WeightedPartition:
+class WeightedPartition(Value):
     """Canonically sorted multiset of weighted pairs over a divisor space."""
 
     space: Space
@@ -138,8 +137,7 @@ def lex_compare(mu: WeightedPartition, nu: WeightedPartition) -> Ordering:
     return Ordering.EQUAL
 
 
-@dataclass(frozen=True)
-class InvariantKey:
+class InvariantKey(Value):
     """Index of a relative invariant: curve degree, genus, absolute
     insertions, and the weighted partition of tangency conditions."""
 

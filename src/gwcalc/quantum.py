@@ -10,7 +10,6 @@ rather than returning a wrong number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -36,6 +35,7 @@ from .ring import (
     point_class,
     zero,
 )
+from .value import Value
 
 
 def chern_generator(space: Space) -> int:
@@ -90,8 +90,7 @@ def wdvv_nd(d: int) -> Fraction:
 # Quantum products by rim-hook reduction.
 
 
-@dataclass(frozen=True)
-class QuantumClass:
+class QuantumClass(Value):
     """A polynomial in q with cohomology-class coefficients."""
 
     space: Space
@@ -242,15 +241,13 @@ def _three_point(space: Space, la, lb, lc, degree: int) -> Fraction:
 # The absolute oracle.
 
 
-@dataclass(frozen=True)
-class AbsoluteQuery:
+class AbsoluteQuery(Value):
     space: Space
     degree: int
     insertions: tuple[RingElement, ...]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     query: AbsoluteQuery
     value: Fraction
 

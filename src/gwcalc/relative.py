@@ -12,7 +12,6 @@ normal Chern number used as a positivity threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Inapplicable, UnsupportedQuery
@@ -30,10 +29,10 @@ from .ring import (
     normal_degree,
     zero,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class BundleSpec:
+class BundleSpec(Value):
     """P(L + O) over a base, determined by the degree of L on the curve
     generator of the base (irrelevant for a point base)."""
 
@@ -50,15 +49,13 @@ class BundleSpec:
         return self.c1_l * section_degree
 
 
-@dataclass(frozen=True)
-class Pullback:
+class Pullback(Value):
     """Insertion pulled back from the base."""
 
     cls: RingElement
 
 
-@dataclass(frozen=True)
-class ZeroSection:
+class ZeroSection(Value):
     """Insertion supported on the zero section (a transfer of a base class),
     optionally twisted by a cotangent-line power."""
 
@@ -69,18 +66,15 @@ class ZeroSection:
 RelInsertion = Pullback | ZeroSection
 
 
-@dataclass(frozen=True)
-class FiberClass:
+class FiberClass(Value):
     s: int
 
 
-@dataclass(frozen=True)
-class SectionClass:
+class SectionClass(Value):
     degree: int
 
 
-@dataclass(frozen=True)
-class RelQuery:
+class RelQuery(Value):
     bundle: BundleSpec
     curve: FiberClass | SectionClass
     insertions: tuple[RelInsertion, ...]

@@ -12,9 +12,10 @@ whole module is safe to share between threads without locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .value import Value
 
 POINT = "point"
 PROJECTIVE = "projective"
@@ -23,8 +24,7 @@ GRASSMANNIAN = "grassmannian"
 Partition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Value):
     """A testbed space, identified by its kind and integer parameters."""
 
     kind: str
@@ -80,18 +80,24 @@ def make_space(descriptor: str) -> Space:
     text = descriptor.strip().lower()
     if text in ("pt", "point"):
         return point_space()
-    if text.startswith("pn:"):
-        return projective_space(int(text[3:]))
-    if text.startswith("gr:") and text.count(":") == 2:
-        _, k, n = text.split(":")
-        return grassmannian(int(k), int(n))
+    head, *fields = text.split(":")
+    try:
+        numbers = [int(x) for x in fields]
+    except ValueError:
+        numbers = []
+    if head == "pn" and len(numbers) == 1:
+        return projective_space(*numbers)
+    if head == "gr" and len(numbers) == 2:
+        return grassmannian(*numbers)
     if text.startswith("p") and text[1:].isdigit():
         return projective_space(int(text[1:]))
-    raise ValueError(f"unrecognised space descriptor {descriptor!r}")
+    raise ValueError(
+        f"unrecognised space descriptor {descriptor!r}; "
+        "expected pt, pn:<n>, gr:<k>:<n> or p<n>"
+    )
 
 
-@dataclass(frozen=True)
-class BasisClass:
+class BasisClass(Value):
     space: Space
     index: int
     real_degree: int
@@ -153,8 +159,7 @@ def partition_index(space: Space, parts: Partition) -> int:
     return rectangle_partitions(k, n - k).index(tuple(parts))
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Value):
     """A cohomology class: exact rational coefficients over the basis.
 
     Coefficients are stored as a sorted tuple of (basis index, Fraction)
@@ -452,8 +457,7 @@ def dual_basis(space: Space) -> tuple[BasisClass, ...]:
 # Divisors and the transfer map.
 
 
-@dataclass(frozen=True)
-class DivisorDescriptor:
+class DivisorDescriptor(Value):
     """A codimension-2 submanifold Z of an ambient space.
 
     ``restriction`` records the pullback of each ambient basis class to Z,

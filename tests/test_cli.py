@@ -239,6 +239,42 @@ def test_truncated_grassmannian_descriptor(capsys):
     assert "unrecognised space descriptor 'gr:2'" in err
 
 
+SPACE_FORMS = "expected pt, pn:<n>, gr:<k>:<n> or p<n>"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["rel", "--bundle", "p1:c1=1", "--class", "xF"],
+            "--class expects <s>F (fiber) or <d>A (section), got 'xF'",
+        ),
+        (
+            ["rel", "--bundle", "p1:c1=x", "--class", "1F"],
+            "bundle descriptor 'p1:c1=x' must be '<space>:c1=<int>'",
+        ),
+        (
+            ["abs", "--space", "pn:x", "--degree", "1"],
+            f"unrecognised space descriptor 'pn:x'; {SPACE_FORMS}",
+        ),
+        (
+            ["abs", "--space", "gr:x:4", "--degree", "1"],
+            f"unrecognised space descriptor 'gr:x:4'; {SPACE_FORMS}",
+        ),
+        (
+            ["ring", "--space", "pn:x"],
+            f"unrecognised space descriptor 'pn:x'; {SPACE_FORMS}",
+        ),
+    ],
+    ids=["rel-class", "rel-bundle", "abs-pn", "abs-gr", "ring-pn"],
+)
+def test_non_integer_field_names_the_form(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_lift_negative_point_count(capsys):
     code, out, err = run(capsys, ["lift", "--testbed", "p2-line", "--k", "-1"])
     assert code == 1

@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gwcalc import ring
 from gwcalc.errors import UnsupportedQuery
@@ -341,3 +342,74 @@ def test_nonzero_invariant_search():
     assert nonzero_invariant_in_degree(P1, 1) is not None
     assert nonzero_invariant_in_degree(P1, 2) is None
     assert nonzero_invariant_in_degree(P2, 1) is not None
+
+
+# ---------------------------------------------------------------------------
+# Properties of gw_invariant on generated dimension-matched queries.
+
+PROPERTY_SPACES = (
+    P1,
+    ring.projective_space(3),
+    ring.projective_space(4),
+    ring.grassmannian(2, 5),
+    ring.grassmannian(3, 6),
+)
+
+
+@st.composite
+def homogeneous_classes(draw, space, complex_degree):
+    """A nonzero class of one degree with small integer coefficients."""
+    indices = [bc.index for bc in ring.basis(space) if bc.real_degree == 2 * complex_degree]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(indices), max_size=len(indices)))
+    if not any(coeffs):
+        coeffs[draw(st.sampled_from(range(len(indices))))] = 1
+    return ring.element(space, dict(zip(indices, coeffs)))
+
+
+@st.composite
+def gw_queries(draw):
+    """(space, degree, insertions), the insertion degrees meeting the
+    dimension rule whenever they can."""
+    space = draw(st.sampled_from(PROPERTY_SPACES))
+    degree = draw(st.integers(0, 2))
+    count = draw(st.integers(1, 5))
+    dim = space.complex_dimension
+    remaining = virtual_dimension(space, degree, count) // 2
+    insertions = []
+    for left in range(count, 0, -1):
+        lo = max(0, remaining - (left - 1) * dim)
+        hi = min(dim, remaining)
+        part = draw(st.integers(lo, hi) if lo <= hi else st.integers(0, dim))
+        insertions.append(draw(homogeneous_classes(space, part)))
+        remaining -= part
+    return space, degree, insertions
+
+
+def _gw_or_refusal(space, degree, insertions):
+    try:
+        return gw_invariant(space, degree, insertions)
+    except UnsupportedQuery:
+        return "unsupported"
+
+
+@settings(max_examples=80, deadline=None)
+@given(gw_queries(), st.randoms(use_true_random=False))
+def test_gw_invariant_symmetric_in_insertions(query, rng):
+    space, degree, insertions = query
+    shuffled = list(insertions)
+    rng.shuffle(shuffled)
+    value = _gw_or_refusal(space, degree, insertions)
+    assume(value != "unsupported")
+    assert _gw_or_refusal(space, degree, shuffled) == value
+
+
+@settings(max_examples=80, deadline=None)
+@given(gw_queries(), st.integers(0, 5))
+def test_gw_invariant_divisor_axiom(query, position):
+    space, degree, insertions = query
+    assume(degree > 0 or len(insertions) >= 3)
+    with_divisor = list(insertions)
+    with_divisor.insert(position, ring.generator_class(space))
+    value = _gw_or_refusal(space, degree, insertions)
+    assume(value != "unsupported")
+    assert _gw_or_refusal(space, degree, with_divisor) == degree * value
