@@ -97,7 +97,9 @@ def _parse_rel_insertion(space: ring.Space, chunk: str):
     psi = 0
     if "@tau" in chunk:
         chunk, _, tau = chunk.partition("@tau")
-        d = int(tau)
+        d = _integer(tau)
+        if d is None:
+            raise ValueError(f"descendent suffix '@tau{tau}' must be '@tau<d>'")
         if d < 1:
             raise ValueError("descendent index must be at least 1")
         psi = d - 1

@@ -20,11 +20,10 @@ from itertools import product as _cartesian
 from .errors import HypothesisViolated, Inapplicable, UnsupportedQuery
 from .partitions import (
     InvariantKey,
-    Ordering,
     WeightedPair,
     WeightedPartition,
     delta_factor,
-    key_compare,
+    order_key,
     partition_to_text,
     weighted_partition,
 )
@@ -446,7 +445,6 @@ class DegenerationTerm(Value):
     delta: int
     x_value: Fraction
     value: Fraction
-    connected: bool = True
 
     def to_json(self) -> dict:
         return {
@@ -646,16 +644,9 @@ def rc_lift(
 
 
 def _minimal_partition(degree: int, alphas, candidates: list[WeightedPartition]):
-    keys = {mu: InvariantKey(degree, tuple(alphas), mu) for mu in candidates}
-    minimal = [
-        mu
-        for mu in candidates
-        if not any(
-            key_compare(keys[other], keys[mu]) is Ordering.LESS
-            for other in candidates
-            if other != mu
-        )
-    ]
+    keys = [order_key(InvariantKey(degree, tuple(alphas), mu)) for mu in candidates]
+    least = min(keys, default=None)
+    minimal = [mu for mu, key in zip(candidates, keys) if key == least]
     if len(minimal) != 1:
         raise Inapplicable(
             f"no unique minimal relative term among {len(candidates)} candidates"

@@ -1,10 +1,10 @@
-"""Cohomology-weighted partitions and the partial order on relative data.
+"""Cohomology-weighted partitions and the order on relative data.
 
 A weighted partition is a multiset of (multiplicity, class) pairs over a
 divisor's cohomology; it records tangency orders together with the classes
 constraining the contact points.  This module supplies the size and
 lexicographic comparisons, automorphism counts, the gluing factor, and the
-strict partial order on invariant keys used to pick minimal terms.
+order on invariant keys used to pick minimal terms, as one sort key.
 """
 
 from __future__ import annotations
@@ -20,12 +20,21 @@ class Ordering(enum.Enum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
-    INCOMPARABLE = 2
+
+
+def _compare(a, b) -> Ordering:
+    return Ordering((a > b) - (a < b))
 
 
 class WeightedPair(Value):
-    """A tangency multiplicity together with its cohomology weight."""
+    """A tangency multiplicity together with its cohomology weight.
 
+    The weight's real degree, found while validating, is kept in a slot
+    outside the fields: equality, hash, repr and pickling see only
+    (multiplicity, weight).
+    """
+
+    __slots__ = ("multiplicity", "weight", "weight_degree")
     multiplicity: int
     weight: RingElement
 
@@ -34,13 +43,18 @@ class WeightedPair(Value):
             raise ValueError("tangency multiplicity must be positive")
         if weight.is_zero():
             raise ValueError("weight class must be nonzero")
-        if weight.homogeneous_degree() is None:
+        degree = weight.homogeneous_degree()
+        if degree is None:
             raise ValueError("weight class must be homogeneous")
         super().__init__(multiplicity, weight)
+        _put_degree(self, degree)
 
-    @property
-    def weight_degree(self) -> int:
-        return self.weight.homogeneous_degree()
+
+_put_degree = WeightedPair.weight_degree.__set__
+
+
+def _size(pair: WeightedPair) -> tuple[int, int]:
+    return (pair.multiplicity, pair.weight_degree)
 
 
 def size_compare(p: WeightedPair, q: WeightedPair) -> Ordering:
@@ -49,11 +63,7 @@ def size_compare(p: WeightedPair, q: WeightedPair) -> Ordering:
     Distinct classes of equal degree compare EQUAL in size; the comparison
     deliberately sees only (m, deg).
     """
-    if p.multiplicity != q.multiplicity:
-        return Ordering.GREATER if p.multiplicity > q.multiplicity else Ordering.LESS
-    if p.weight_degree != q.weight_degree:
-        return Ordering.GREATER if p.weight_degree > q.weight_degree else Ordering.LESS
-    return Ordering.EQUAL
+    return _compare(_size(p), _size(q))
 
 
 def _canonical_key(pair: WeightedPair) -> tuple:
@@ -104,14 +114,6 @@ def aut_order(mu: WeightedPartition) -> int:
     return prod(factorial(c) for c in counts.values())
 
 
-def aut_order_unweighted(mu: WeightedPartition) -> int:
-    """Order of the symmetry group of the bare multiplicity multiset."""
-    counts: dict[int, int] = {}
-    for p in mu.pairs:
-        counts[p.multiplicity] = counts.get(p.multiplicity, 0) + 1
-    return prod(factorial(c) for c in counts.values())
-
-
 def delta_factor(mu: WeightedPartition) -> int:
     """Gluing multiplicity: product of tangencies times the weighted
     automorphism count."""
@@ -128,57 +130,38 @@ def lex_compare(mu: WeightedPartition, nu: WeightedPartition) -> Ordering:
     """
     if mu.space != nu.space:
         raise ValueError("partitions over different spaces")
-    for p, q in zip(mu.pairs, nu.pairs):
-        cmp = size_compare(p, q)
-        if cmp is not Ordering.EQUAL:
-            return cmp
-    if len(mu.pairs) != len(nu.pairs):
-        return Ordering.GREATER if len(mu.pairs) > len(nu.pairs) else Ordering.LESS
-    return Ordering.EQUAL
+    return _compare([_size(p) for p in mu.pairs], [_size(p) for p in nu.pairs])
 
 
 class InvariantKey(Value):
-    """Index of a relative invariant: curve degree, genus, absolute
-    insertions, and the weighted partition of tangency conditions."""
+    """Index of a relative invariant: curve degree, absolute insertions,
+    and the weighted partition of tangency conditions (genus zero)."""
 
     degree: int
     insertions: tuple[RingElement, ...]
     partition: WeightedPartition
-    genus: int = 0
+
+
+def order_key(key: InvariantKey) -> tuple:
+    """Sort key of the order on invariant keys.
+
+    A key is smaller when its curve degree is smaller; ties are broken by
+    fewer absolute insertions, then by *larger* partition degree, then by
+    *lexicographically greater* partition.  Negating each size reverses
+    the lexicographic clause; the closing (0, 0) sorts above every negated
+    size, so a partition that extends another sorts first.  With rank-one
+    curve classes and genus zero this is a total preorder.
+    """
+    mu = key.partition
+    reversed_lex = tuple((-m, -d) for m, d in map(_size, mu.pairs)) + ((0, 0),)
+    return (key.degree, len(key.insertions), -deg(mu), reversed_lex)
 
 
 def key_compare(a: InvariantKey, b: InvariantKey) -> Ordering:
-    """Strict partial order on invariant keys.
-
-    A key is smaller when its curve degree is smaller; ties are broken by
-    genus, then by fewer absolute insertions, then by *larger* partition
-    degree, then by *lexicographically greater* partition.  With rank-one
-    curve classes every pair is comparable (possibly EQUAL).
-    """
+    """Compare invariant keys by ``order_key``."""
     if a.partition.space != b.partition.space:
         raise ValueError("keys over different divisor spaces")
-    if a.degree != b.degree:
-        return Ordering.LESS if a.degree < b.degree else Ordering.GREATER
-    if a.genus != b.genus:
-        return Ordering.LESS if a.genus < b.genus else Ordering.GREATER
-    if len(a.insertions) != len(b.insertions):
-        return (
-            Ordering.LESS
-            if len(a.insertions) < len(b.insertions)
-            else Ordering.GREATER
-        )
-    if deg(a.partition) != deg(b.partition):
-        return (
-            Ordering.LESS
-            if deg(a.partition) > deg(b.partition)
-            else Ordering.GREATER
-        )
-    lex = lex_compare(a.partition, b.partition)
-    if lex is Ordering.GREATER:
-        return Ordering.LESS
-    if lex is Ordering.LESS:
-        return Ordering.GREATER
-    return Ordering.EQUAL
+    return _compare(order_key(a), order_key(b))
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +198,6 @@ def parse_partition(space: Space, text: str) -> WeightedPartition:
     return weighted_partition(space, pairs)
 
 
-def partition_to_json(mu: WeightedPartition) -> list[dict]:
-    return [
-        {"m": p.multiplicity, "label": weight_label(p.weight)} for p in mu.pairs
-    ]
-
-
 def partition_to_text(mu: WeightedPartition) -> str:
     if not mu.pairs:
         return "empty"
@@ -229,26 +206,3 @@ def partition_to_text(mu: WeightedPartition) -> str:
 
 def empty_partition(space: Space) -> WeightedPartition:
     return weighted_partition(space, ())
-
-
-__all__ = [
-    "Ordering",
-    "WeightedPair",
-    "WeightedPartition",
-    "InvariantKey",
-    "weighted_partition",
-    "pairs_of",
-    "total_weight",
-    "deg",
-    "aut_order",
-    "aut_order_unweighted",
-    "delta_factor",
-    "size_compare",
-    "lex_compare",
-    "key_compare",
-    "parse_partition",
-    "partition_to_json",
-    "partition_to_text",
-    "weight_label",
-    "empty_partition",
-]

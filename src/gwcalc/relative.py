@@ -137,6 +137,15 @@ def zstar(query: RelQuery) -> int:
     return query.bundle.divisor_pairing(query.curve.degree)
 
 
+def _single_transverse_tangency(
+    query: RelQuery, l: int, q: int, k: int, d: int
+) -> bool:
+    """A descendent-free fiber line with one tangency point and no pulled-back
+    insertions, given the query's ``_counts``."""
+    fiber = isinstance(query.curve, FiberClass)
+    return fiber and d == l and query.curve.s == 1 and k == 1 and q == 0
+
+
 def _vanishing_reason(query: RelQuery) -> str | None:
     """Why the invariant is forced to vanish, or None if these criteria do
     not decide it.
@@ -155,7 +164,7 @@ def _vanishing_reason(query: RelQuery) -> str | None:
         )
     l, q, k, d = _counts(query)
     fiber = isinstance(query.curve, FiberClass)
-    if fiber and d == l and not (query.curve.s == 1 and k == 1 and q == 0):
+    if fiber and d == l and not _single_transverse_tangency(query, l, q, k, d):
         return "fiber-class query outside the single transverse-tangency shape"
     if zstar(query) >= d and (not fiber or k + l + q >= 3):
         return "dimension pushdown to the base moduli space"
@@ -204,7 +213,7 @@ def relative_invariant_with_reason(query: RelQuery) -> tuple[Fraction, str | Non
     bundle = query.bundle
     l, q, k, d = _counts(query)
     fiber = isinstance(query.curve, FiberClass)
-    if fiber and d == l and query.curve.s == 1 and k == 1 and q == 0:
+    if _single_transverse_tangency(query, l, q, k, d):
         betas = [i.cls for i in query.insertions]
         return fiber_one_relative(betas, query.partition.pairs[0].weight), None
     if fiber and d != l and l == 1 and q == 0 and k == 1:

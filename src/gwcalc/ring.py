@@ -39,13 +39,6 @@ class Space(Value):
         k, n = self.params
         return k * (n - k)
 
-    @property
-    def h2_generator_name(self) -> str | None:
-        """Label of the degree-2 basis class generating H^2, if any."""
-        if self.kind == POINT:
-            return None
-        return "h" if self.kind == PROJECTIVE else "s1"
-
     def descriptor(self) -> str:
         if self.kind == POINT:
             return "pt"
@@ -270,7 +263,10 @@ def by_label(space: Space, label: str) -> RingElement:
         if bc.label == text:
             return basis_element(space, bc.index)
     if space.kind == PROJECTIVE and text.startswith("h^"):
-        power = int(text[2:])
+        try:
+            power = int(text[2:])
+        except ValueError:
+            power = -1
         if 0 <= power <= space.params[0]:
             return basis_element(space, power)
     raise ValueError(f"unknown class label {text!r} for {space}")

@@ -239,7 +239,7 @@ def test_criterion_6_partial_order_axioms():
                 less.add((i, j))
                 if key_compare(b, a) is not Ordering.GREATER:
                     failures.append(("asymmetry", i, j))
-            if cmp is Ordering.INCOMPARABLE:
+            if cmp not in (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER):
                 failures.append(("comparability", i, j))
     successors: dict[int, list[int]] = {}
     for i, j in less:

@@ -240,6 +240,7 @@ def test_truncated_grassmannian_descriptor(capsys):
 
 
 SPACE_FORMS = "expected pt, pn:<n>, gr:<k>:<n> or p<n>"
+REL_P1 = ["rel", "--bundle", "p1:c1=1", "--class", "1F"]
 
 
 @pytest.mark.parametrize(
@@ -265,8 +266,35 @@ SPACE_FORMS = "expected pt, pn:<n>, gr:<k>:<n> or p<n>"
             ["ring", "--space", "pn:x"],
             f"unrecognised space descriptor 'pn:x'; {SPACE_FORMS}",
         ),
+        (
+            ["abs", "--space", "p2", "--degree", "1", "--insertions", "h^x,pt"],
+            "unknown class label 'h^x' for pn:2",
+        ),
+        (
+            ["ring", "--space", "p2", "--cup", "h^y,h"],
+            "unknown class label 'h^y' for pn:2",
+        ),
+        (
+            REL_P1 + ["--partition", "(1,h^z)", "--insertions", "zs:pt"],
+            "--partition expects '(<m>,<label>)' pairs joined by '+': "
+            "unknown class label 'h^z' for pn:1",
+        ),
+        (
+            REL_P1 + ["--partition", "(1,id)", "--insertions", "zs:pt@taux"],
+            "descendent suffix '@taux' must be '@tau<d>'",
+        ),
     ],
-    ids=["rel-class", "rel-bundle", "abs-pn", "abs-gr", "ring-pn"],
+    ids=[
+        "rel-class",
+        "rel-bundle",
+        "abs-pn",
+        "abs-gr",
+        "ring-pn",
+        "abs-power",
+        "ring-power",
+        "rel-partition-power",
+        "rel-tau",
+    ],
 )
 def test_non_integer_field_names_the_form(capsys, argv, message):
     code, out, err = run(capsys, argv)

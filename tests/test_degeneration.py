@@ -401,7 +401,6 @@ def test_enumerate_terms_line_identity():
         term = enum.terms[0]
         assert term.delta == 1
         assert term.value == 1
-        assert term.connected
         # The split rule reassembles the original absolute query.
         split = absolute_insertions(P1_CUT, insertions)
         assert split == tuple([ring.point_class(x)] * m)

@@ -1,5 +1,5 @@
 """Weighted partitions: size and lexicographic comparisons, automorphism
-counts, the gluing factor, and the strict partial order on keys."""
+counts, the gluing factor, and the order on keys."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +10,6 @@ from gwcalc.partitions import (
     Ordering,
     WeightedPair,
     aut_order,
-    aut_order_unweighted,
     deg,
     delta_factor,
     empty_partition,
@@ -18,7 +17,6 @@ from gwcalc.partitions import (
     lex_compare,
     pairs_of,
     parse_partition,
-    partition_to_json,
     partition_to_text,
     size_compare,
     total_weight,
@@ -88,7 +86,6 @@ def test_aut_and_delta_examples():
     assert delta_factor(single) == 2
     distinct = pairs_of(P1, [(1, ONE), (1, PT)])
     assert aut_order(distinct) == 1
-    assert aut_order_unweighted(distinct) == 2
     assert delta_factor(distinct) == 1
 
 
@@ -175,6 +172,70 @@ def test_partial_order_axioms_small():
             assert (a, c) in less
 
 
+def _reference_size(p, q):
+    if p.multiplicity != q.multiplicity:
+        return Ordering.GREATER if p.multiplicity > q.multiplicity else Ordering.LESS
+    dp, dq = p.weight.homogeneous_degree(), q.weight.homogeneous_degree()
+    if dp != dq:
+        return Ordering.GREATER if dp > dq else Ordering.LESS
+    return Ordering.EQUAL
+
+
+def _reference_lex(mu, nu):
+    for p, q in zip(mu.pairs, nu.pairs):
+        cmp = _reference_size(p, q)
+        if cmp is not Ordering.EQUAL:
+            return cmp
+    if len(mu.pairs) != len(nu.pairs):
+        return Ordering.GREATER if len(mu.pairs) > len(nu.pairs) else Ordering.LESS
+    return Ordering.EQUAL
+
+
+def _reference_key(a, b):
+    """The order on keys, one clause at a time."""
+    if a.degree != b.degree:
+        return Ordering.LESS if a.degree < b.degree else Ordering.GREATER
+    na, nb = len(a.insertions), len(b.insertions)
+    if na != nb:
+        return Ordering.LESS if na < nb else Ordering.GREATER
+    da, db = deg(a.partition), deg(b.partition)
+    if da != db:
+        return Ordering.LESS if da > db else Ordering.GREATER
+    flipped = {Ordering.LESS: Ordering.GREATER, Ordering.GREATER: Ordering.LESS}
+    lex = _reference_lex(a.partition, b.partition)
+    return flipped.get(lex, Ordering.EQUAL)
+
+
+@pytest.mark.parametrize("space", [P1, P2], ids=["P1", "P2"])
+def test_order_matches_clause_by_clause_reference(space):
+    # The pools hold partitions of equal degree where one extends the other,
+    # such as (1,1) and (1,1)+(1,1): only order_key's closing (0, 0) orders them.
+    pool = all_partitions_up_to(space, 3)
+    sizes = {p for mu in pool for p in mu.pairs}
+    for p in sizes:
+        for q in sizes:
+            assert size_compare(p, q) is _reference_size(p, q), (p, q)
+    for mu in pool:
+        for nu in pool:
+            assert lex_compare(mu, nu) is _reference_lex(mu, nu), (mu, nu)
+    point = ring.point_class(space)
+    keys = [
+        InvariantKey(d, (point,) * c, mu) for d in (0, 1) for c in (0, 1) for mu in pool
+    ]
+    for a in keys:
+        for b in keys:
+            assert key_compare(a, b) is _reference_key(a, b), (a, b)
+
+
+def test_comparisons_refuse_mixed_spaces():
+    mu = pairs_of(P1, [(1, ONE)])
+    nu = pairs_of(P2, [(1, ring.unit(P2))])
+    with pytest.raises(ValueError, match="partitions over different spaces"):
+        lex_compare(mu, nu)
+    with pytest.raises(ValueError, match="keys over different divisor spaces"):
+        key_compare(InvariantKey(1, (), mu), InvariantKey(1, (), nu))
+
+
 @st.composite
 def partitions_strategy(draw):
     space = draw(st.sampled_from([P1, P2]))
@@ -227,7 +288,6 @@ def test_parse_and_serialise():
     mu = parse_partition(P1, "(2,1)+(1,pt)")
     assert total_weight(mu) == 3
     assert partition_to_text(mu) == "(2,1)+(1,h)"
-    assert partition_to_json(mu) == [{"m": 2, "label": "1"}, {"m": 1, "label": "h"}]
     assert parse_partition(P1, "") == empty_partition(P1)
     with pytest.raises(ValueError):
         parse_partition(P1, "2,1")

@@ -53,7 +53,6 @@ def test_point_basis():
     pt = ring.point_space()
     assert len(ring.basis(pt)) == 1
     assert pt.complex_dimension == 0
-    assert pt.h2_generator_name is None
 
 
 def test_grassmannian_basis_is_rectangle():

@@ -1,12 +1,16 @@
 """Source checks: no runtime invariant may rest on `assert`, because
-`python -O` strips asserts."""
+`python -O` strips asserts; and every function the traced benchmark wraps
+still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gwcalc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gwcalc"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # solve_relative keeps its assert: perfbench/golden.json stores that failure
 # as "failed:AssertionError" for the lattice_inversion workload.
@@ -38,3 +42,27 @@ def test_no_runtime_asserts(path):
         if (path.name, func) not in ALLOWED
     ]
     assert not stray, "assert statements vanish under python -O: " + ", ".join(stray)
+
+
+def _wrapped_names():
+    """The (module, function) pairs in perfbench/spans.py's WRAPPED, read
+    from its source without importing it."""
+    for node in ast.parse(SPANS.read_text(), filename=str(SPANS)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no WRAPPED assignment in {SPANS}")
+
+
+def test_traced_benchmark_wraps_existing_functions():
+    names = _wrapped_names()
+    assert names
+    missing = [
+        f"{module}.{function}"
+        for module, function in names
+        if not callable(
+            getattr(importlib.import_module(f"gwcalc.{module}"), function, None)
+        )
+    ]
+    assert not missing, "spans.py wraps names gwcalc lacks: " + ", ".join(missing)

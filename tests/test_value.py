@@ -60,8 +60,7 @@ def test_keyword_construction_and_defaults():
     assert ZeroSection(pt).psi_power == 0
     assert ZeroSection(pt, 2) == ZeroSection(cls=pt, psi_power=2)
     key = InvariantKey(1, (), empty_partition(P1))
-    assert key.genus == 0
-    assert key == InvariantKey(degree=1, insertions=(), partition=empty_partition(P1), genus=0)
+    assert key == InvariantKey(degree=1, insertions=(), partition=empty_partition(P1))
     assert ComparisonReport("ok", 1, 1, True, ()).detail == ""
     divisor = ring.hyperplane_divisor(2)
     assert divisor.ambient == ring.projective_space(2)
@@ -70,12 +69,10 @@ def test_keyword_construction_and_defaults():
     insertions = [AmbientInsertion(ring.point_class(P1))] * 2
     insertions.append(ShriekInsertion(ring.unit(ring.point_space())))
     (term,) = enumerate_terms(cut, 1, insertions, closed_form_oracle(cut)).terms
-    assert term.connected
     names = ("degree", "x_insertions", "x_partition", "partition", "components")
     names += ("delta", "x_value", "value")
     rebuilt = DegenerationTerm(**{name: getattr(term, name) for name in names})
-    assert rebuilt == term and rebuilt.connected
-    assert DegenerationTerm(*(getattr(term, name) for name in names), False) != term
+    assert rebuilt == term
 
 
 def test_construction_checks_its_fields():
