@@ -76,9 +76,18 @@ def _parse_insertions(space: ring.Space, text: str) -> list[ring.RingElement]:
 
 def _integer(text: str) -> int | None:
     try:
-        return int(text)
+        return ring.parse_integer(text)
     except ValueError:
         return None
+
+
+def _int_option(text: str) -> int:
+    """The type of an integer option, refusing what ``ring.parse_integer``
+    refuses, with argparse's message for a bad int."""
+    value = _integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _parse_bundle(text: str) -> relative.BundleSpec:
@@ -316,12 +325,12 @@ def build_parser() -> _Parser:
 
     p_abs = sub.add_parser("abs", help="absolute invariant")
     p_abs.add_argument("--space", required=True)
-    p_abs.add_argument("--degree", type=int, required=True)
+    p_abs.add_argument("--degree", type=_int_option, required=True)
     p_abs.add_argument("--insertions", default="")
     p_abs.set_defaults(fn=_cmd_abs)
 
     p_nd = sub.add_parser("nd", help="plane-curve count table")
-    p_nd.add_argument("--max", type=int, required=True)
+    p_nd.add_argument("--max", type=_int_option, required=True)
     p_nd.set_defaults(fn=_cmd_nd)
 
     p_ring = sub.add_parser("ring", help="basis, cup products, duals")
@@ -340,9 +349,9 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="verify identities on a testbed")
     p_verify.add_argument("what")
     p_verify.add_argument("--testbed", required=True)
-    p_verify.add_argument("--points", type=int, default=3)
-    p_verify.add_argument("--max-degree", type=int, default=1)
-    p_verify.add_argument("--degree", type=int, default=1)
+    p_verify.add_argument("--points", type=_int_option, default=3)
+    p_verify.add_argument("--max-degree", type=_int_option, default=1)
+    p_verify.add_argument("--degree", type=_int_option, default=1)
     p_verify.add_argument("--alphas", default="")
     p_verify.add_argument("--betas", default="")
     p_verify.add_argument("--verbose", action="store_true")
@@ -351,21 +360,21 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve for relative invariants")
     p_solve.add_argument("what")
     p_solve.add_argument("--testbed", required=True)
-    p_solve.add_argument("--degree", type=int, default=1)
+    p_solve.add_argument("--degree", type=_int_option, default=1)
     p_solve.add_argument("--alphas", default="")
     p_solve.add_argument("--betas", required=True)
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_lift = sub.add_parser("lift", help="divisor-to-ambient witness lift")
     p_lift.add_argument("--testbed", required=True)
-    p_lift.add_argument("--degree", type=int, default=1)
-    p_lift.add_argument("--k", type=int, required=True)
+    p_lift.add_argument("--degree", type=_int_option, default=1)
+    p_lift.add_argument("--k", type=_int_option, required=True)
     p_lift.set_defaults(fn=_cmd_lift)
 
     p_rc = sub.add_parser("rc", help="point-constrained certificate search")
     p_rc.add_argument("--space", required=True)
-    p_rc.add_argument("--k", type=int, required=True)
-    p_rc.add_argument("--max-degree", type=int, default=2)
+    p_rc.add_argument("--k", type=_int_option, required=True)
+    p_rc.add_argument("--max-degree", type=_int_option, default=2)
     p_rc.set_defaults(fn=_cmd_rc)
 
     return parser

@@ -179,7 +179,7 @@ def weight_label(w: RingElement) -> str:
 
 
 def parse_partition(space: Space, text: str) -> WeightedPartition:
-    from .ring import by_label
+    from .ring import by_label, parse_integer
 
     text = text.strip()
     if text in ("", "empty", "()"):
@@ -191,7 +191,7 @@ def parse_partition(space: Space, text: str) -> WeightedPartition:
         if not (chunk.startswith("(") and chunk.endswith(")") and comma):
             raise ValueError(f"bad partition chunk {chunk!r}")
         try:
-            m = int(m_text)
+            m = parse_integer(m_text)
         except ValueError:
             raise ValueError(f"bad multiplicity {m_text!r} in {chunk!r}") from None
         pairs.append(WeightedPair(m, by_label(space, label.strip())))

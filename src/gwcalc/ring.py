@@ -7,7 +7,13 @@ in the k x (n-k) rectangle), a cup product, and a nondegenerate Poincare
 pairing normalised so the point class integrates to 1.
 
 Every value is immutable and every operation is a pure function, so the
-whole module is safe to share between threads without locks.
+whole module is safe to share between threads without locks.  The
+constructors hand out one shared object per distinct space and per distinct
+ring element, so a memo keyed on them finds its entry by identity; equality
+and hashing stay field-wise, and a value built around the constructors
+still compares equal.  The element table lives as long as the process, like
+the ``lru_cache`` tables, and two threads that race on an entry keep the
+object ``dict.setdefault`` stored first.
 """
 
 from __future__ import annotations
@@ -50,14 +56,20 @@ class Space(Value):
         return self.descriptor()
 
 
+@lru_cache(maxsize=None)
+def _space(kind: str, params: tuple[int, ...]) -> Space:
+    """The one shared instance of each space."""
+    return Space(kind, params)
+
+
 def point_space() -> Space:
-    return Space(POINT)
+    return _space(POINT, ())
 
 
 def projective_space(n: int) -> Space:
     if n < 1:
         raise ValueError(f"projective space needs n >= 1, got {n}")
-    return Space(PROJECTIVE, (n,))
+    return _space(PROJECTIVE, (n,))
 
 
 def grassmannian(k: int, n: int) -> Space:
@@ -65,7 +77,17 @@ def grassmannian(k: int, n: int) -> Space:
         raise ValueError(f"Grassmannian needs 1 <= k < n, got ({k}, {n})")
     if n - k > 9 or k > 9:
         raise ValueError("basis labels only support single-digit partition parts")
-    return Space(GRASSMANNIAN, (k, n))
+    return _space(GRASSMANNIAN, (k, n))
+
+
+def parse_integer(text: str) -> int:
+    """An integer field of a descriptor or label: ASCII digits with an
+    optional leading "-".  Unlike int(), it refuses spaces, "+", "_" and
+    non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def make_space(descriptor: str) -> Space:
@@ -74,16 +96,16 @@ def make_space(descriptor: str) -> Space:
     if text in ("pt", "point"):
         return point_space()
     head, *fields = text.split(":")
+    if head.startswith("p") and head[1:] and not fields:  # p<n> is pn:<n>
+        head, fields = "pn", [head[1:]]
     try:
-        numbers = [int(x) for x in fields]
+        numbers = [parse_integer(x) for x in fields]
     except ValueError:
         numbers = []
     if head == "pn" and len(numbers) == 1:
         return projective_space(*numbers)
     if head == "gr" and len(numbers) == 2:
         return grassmannian(*numbers)
-    if text.startswith("p") and text[1:].isdigit():
-        return projective_space(int(text[1:]))
     raise ValueError(
         f"unrecognised space descriptor {descriptor!r}; "
         "expected pt, pn:<n>, gr:<k>:<n> or p<n>"
@@ -214,27 +236,40 @@ def _check_same_space(a: RingElement, b: RingElement) -> None:
         raise ValueError(f"space mismatch: {a.space} vs {b.space}")
 
 
+# The shared element of each (space, coefficients), keyed on the
+# coefficients as integer (index, numerator, denominator) triples, which hash
+# and compare without calling into Fraction.
+_elements: dict[tuple, RingElement] = {}
+
+
 def element(space: Space, coeffs: dict[int, Fraction | int]) -> RingElement:
+    """The one shared element with these coefficients on the basis."""
     size = len(basis(space))
     clean = []
     for i, c in coeffs.items():
         if not 0 <= i < size:
             raise ValueError(f"basis index {i} out of range for {space}")
-        q = Fraction(c)
-        if q != 0:
+        q = c if type(c) is Fraction else Fraction(c)
+        if q:
             clean.append((i, q))
     clean.sort()
-    return RingElement(space, tuple(clean))
+    key = (space, *[(i, q.numerator, q.denominator) for i, q in clean])
+    found = _elements.get(key)
+    if found is None:
+        found = _elements.setdefault(key, RingElement(space, tuple(clean)))
+    return found
 
 
 def zero(space: Space) -> RingElement:
-    return RingElement(space, ())
+    return element(space, {})
 
 
+@lru_cache(maxsize=None)
 def unit(space: Space) -> RingElement:
     return element(space, {0: 1})
 
 
+@lru_cache(maxsize=None)
 def basis_element(space: Space, index: int) -> RingElement:
     return element(space, {index: 1})
 
@@ -264,7 +299,7 @@ def by_label(space: Space, label: str) -> RingElement:
             return basis_element(space, bc.index)
     if space.kind == PROJECTIVE and text.startswith("h^"):
         try:
-            power = int(text[2:])
+            power = parse_integer(text[2:])
         except ValueError:
             power = -1
         if 0 <= power <= space.params[0]:

@@ -283,6 +283,41 @@ REL_P1 = ["rel", "--bundle", "p1:c1=1", "--class", "1F"]
             REL_P1 + ["--partition", "(1,id)", "--insertions", "zs:pt@taux"],
             "descendent suffix '@taux' must be '@tau<d>'",
         ),
+        (
+            ["abs", "--space", "p2", "--degree", "1", "--insertions", "h^ 1,pt,h^0"],
+            "unknown class label 'h^ 1' for pn:2",
+        ),
+        (
+            ["abs", "--space", "pn:0_3", "--degree", "1", "--insertions", "pt,pt"],
+            f"unrecognised space descriptor 'pn:0_3'; {SPACE_FORMS}",
+        ),
+        (
+            ["abs", "--space", "gr:2:\u0664", "--degree", "0", "--insertions", "pt,1,1"],
+            f"unrecognised space descriptor 'gr:2:\u0664'; {SPACE_FORMS}",
+        ),
+        (
+            ["ring", "--space", "p\u0664"],
+            f"unrecognised space descriptor 'p\u0664'; {SPACE_FORMS}",
+        ),
+        (
+            ["rel", "--bundle", "p1:c1= 1", "--class", "+1F", "--partition", "( 1,id)",
+             "--insertions", "zs:pt@tau+1"],
+            "bundle descriptor 'p1:c1= 1' must be '<space>:c1=<int>'",
+        ),
+        (
+            ["rel", "--bundle", "p1:c1=1", "--class", "+1F", "--partition", "(1,id)",
+             "--insertions", "zs:pt"],
+            "--class expects <s>F (fiber) or <d>A (section), got '+1F'",
+        ),
+        (
+            REL_P1 + ["--partition", "( 1,id)", "--insertions", "zs:pt"],
+            "--partition expects '(<m>,<label>)' pairs joined by '+': "
+            "bad multiplicity ' 1' in '( 1,id)'",
+        ),
+        (
+            REL_P1 + ["--partition", "(1,id)", "--insertions", "zs:pt@tau+1"],
+            "descendent suffix '@tau+1' must be '@tau<d>'",
+        ),
     ],
     ids=[
         "rel-class",
@@ -294,6 +329,14 @@ REL_P1 = ["rel", "--bundle", "p1:c1=1", "--class", "1F"]
         "ring-power",
         "rel-partition-power",
         "rel-tau",
+        "abs-power-space",
+        "abs-pn-underscore",
+        "abs-gr-arabic-digit",
+        "ring-p-arabic-digit",
+        "rel-bundle-space",
+        "rel-class-plus",
+        "rel-partition-space",
+        "rel-tau-plus",
     ],
 )
 def test_non_integer_field_names_the_form(capsys, argv, message):
@@ -301,6 +344,23 @@ def test_non_integer_field_names_the_form(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["abs", "--space", "p2", "--degree", " 1", "--insertions", "pt,pt"], "--degree", " 1"),
+        (["nd", "--max", "+3"], "--max", "+3"),
+        (["lift", "--testbed", "p2-line", "--k", "1_0"], "--k", "1_0"),
+        (["verify", "comparison", "--testbed", "p1-pt", "--points", "\u0663"], "--points", "\u0663"),
+    ],
+    ids=["degree-space", "max-plus", "k-underscore", "points-arabic-digit"],
+)
+def test_integer_options_take_ascii_digits(capsys, argv, option, value):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: argument {option}: invalid int value: {value!r}\n"
 
 
 def test_lift_negative_point_count(capsys):

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
@@ -234,6 +234,22 @@ def test_p2_three_point_agrees_with_rank_one_schubert_ring():
     hg = ring.by_label(G13, "s1")
     assert gw_invariant(P2, 1, [p, p]) == gw_invariant(G13, 1, [pg, pg]) == 1
     assert gw_invariant(P2, 1, [p, p, h]) == gw_invariant(G13, 1, [pg, pg, hg]) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_projective_space_is_the_grassmannian_of_lines(n):
+    # P^n is Gr(1, n+1), with h^i <-> s_i at the same basis index: the basis
+    # degrees and every three-point invariant in degrees 0-2 agree.  The cup
+    # products and dual bases are compared in tests/test_ring.py.
+    pn, gr = ring.projective_space(n), ring.grassmannian(1, n + 1)
+    assert [bc.label for bc in ring.basis(gr)] == ["1"] + [f"s{i}" for i in range(1, n + 1)]
+    assert [bc.real_degree for bc in ring.basis(pn)] == [bc.real_degree for bc in ring.basis(gr)]
+    classes = [(ring.basis_element(pn, i), ring.basis_element(gr, i)) for i in range(n + 1)]
+    for degree in range(3):
+        for triple in product(classes, repeat=3):
+            mono = gw_invariant(pn, degree, [a for a, _ in triple])
+            schub = gw_invariant(gr, degree, [b for _, b in triple])
+            assert mono == schub, (degree, [str(a) for a, _ in triple])
 
 
 def test_rim_hook_examples():

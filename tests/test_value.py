@@ -6,6 +6,8 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +20,14 @@ from gwcalc.degeneration import (
     DegenerationTerm,
     ShriekInsertion,
     closed_form_oracle,
+    comparison_rhs,
     enumerate_terms,
+    solve_relative,
+    table_oracle,
 )
 from gwcalc.degeneration import testbed_cut as named_cut
 from gwcalc.partitions import InvariantKey, WeightedPair, empty_partition
+from gwcalc.quantum import gw_invariant
 from gwcalc.relative import FiberClass, SectionClass, ZeroSection
 from gwcalc.value import Value
 
@@ -31,8 +37,9 @@ G24 = ring.grassmannian(2, 4)
 
 
 def test_equal_values_hash_equal_before_and_after_caching():
-    a = ring.element(P1, {0: Fraction(1, 3), 1: 2})
-    b = ring.element(ring.make_space("p1"), {1: 2, 0: Fraction(2, 6)})
+    # Built around the shared constructors, so the two are distinct objects.
+    a = ring.RingElement(ring.Space("projective", (1,)), ((0, Fraction(1, 3)), (1, Fraction(2))))
+    b = ring.RingElement(ring.Space("projective", (1,)), ((0, Fraction(2, 6)), (1, Fraction(2))))
     assert a is not b and a.space is not b.space
     # The first pass computes and stores each hash, the second reads it back.
     assert a == b and hash(a) == hash(b)
@@ -120,6 +127,106 @@ def test_copy_and_pickle_round_trip():
     for value in (G24, pt, ZeroSection(pt, 1)):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and hash(twin) == hash(value)
+
+
+def test_constructors_share_one_object_per_value():
+    assert ring.make_space("gr:2:4") is ring.grassmannian(2, 4)
+    assert ring.make_space("p2") is ring.make_space("pn:2") is ring.projective_space(2)
+    assert ring.make_space("point") is ring.point_space()
+    for z in (ring.point_space(), P1, ring.projective_space(3), G24):
+        pt = ring.by_label(z, "pt")
+        assert ring.cup(ring.unit(z), pt) is ring.point_class(z)
+        assert ring.zero(z) is ring.element(z, {0: 0}) is pt - pt
+    half = Fraction(1, 2)
+    assert ring.element(G24, {0: 1, 2: half, 5: -1}) is ring.element(G24, {5: -1, 0: 1, 2: half})
+    divisor = ring.hyperplane_divisor(2)
+    h = ring.generator_class(divisor.divisor)
+    assert ring.restrict(divisor, ring.by_label(divisor.ambient, "h")) is h
+    assert ring.shriek_pushforward(divisor, h) is ring.by_label(divisor.ambient, "h^2")
+
+
+def test_values_built_around_the_constructors_compare_equal():
+    shared = ring.element(G24, {1: 2, 3: Fraction(1, 3)})
+    assert ring.element(G24, {3: Fraction(2, 6), 1: 2}) is shared
+    direct = ring.RingElement(
+        ring.Space("grassmannian", (2, 4)), ((1, Fraction(2)), (3, Fraction(1, 3)))
+    )
+    unpickled = pickle.loads(pickle.dumps(shared))
+    for twin in (direct, unpickled):
+        assert twin is not shared
+        assert twin == shared and shared == twin and hash(twin) == hash(shared)
+        assert {shared: "value"}[twin] == "value"
+    assert direct.space == G24 and hash(direct.space) == hash(G24)
+
+
+def test_threads_racing_on_new_elements_share_one_object(monkeypatch):
+    # Every coefficient is new to the process, the threads meet before each
+    # one, and building an element sleeps, so they all miss the table and
+    # race to store the entry; each must still hand back the stored object.
+    build_element = ring.RingElement
+
+    def slow_build(*fields):
+        time.sleep(0.001)
+        return build_element(*fields)
+
+    monkeypatch.setattr(ring, "RingElement", slow_build)
+    space = ring.grassmannian(3, 6)
+    coefficients = [Fraction(k, 7919) for k in range(1, 60)]
+    results = [[] for _ in range(6)]
+    step = threading.Barrier(len(results))
+
+    def build(slot):
+        for q in coefficients:
+            step.wait(timeout=30)
+            results[slot].append(ring.element(space, {1: q, 2: 1}))
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    first = results[0]
+    assert len(first) == len(coefficients)
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(first, other, strict=True))
+
+
+def test_repeated_round_trip_compares_no_distinct_ring_values(monkeypatch):
+    # A second identical formal round trip finds every memo entry keyed on
+    # spaces and ring elements by identity, never field by field.
+    cut = named_cut("p2-line")
+    x, z = cut.divisor.ambient, cut.divisor.divisor
+
+    def round_trip():
+        alphas = [ring.by_label(x, "pt")] * 4
+        betas = [ring.by_label(z, b) for b in ("1", "pt", "1", "1")]
+        table = solve_relative(cut, 2, alphas, betas, require_hypothesis=False)
+        oracle = table_oracle(table)
+        rhs, _ = comparison_rhs(cut, 2, alphas, betas, oracle, require_hypothesis=False)
+        shrieks = [ring.shriek_pushforward(cut.divisor, b) for b in betas]
+        return gw_invariant(x, 2, alphas + shrieks), rhs
+
+    first = round_trip()
+    assert first[0] == first[1]
+    distinct = {}
+    field_wise = Value.__eq__
+
+    def counting_eq(self, other):
+        if other is not self:
+            name = type(self).__name__
+            distinct[name] = distinct.get(name, 0) + 1
+        return field_wise(self, other)
+
+    monkeypatch.setattr(Value, "__eq__", counting_eq)
+    assert round_trip() == first
+    monkeypatch.undo()
+    assert distinct.get("RingElement", 0) == distinct.get("Space", 0) == 0, distinct
 
 
 def test_every_value_type_is_slotted():
