@@ -144,9 +144,10 @@ def _cmd_nd(args) -> int:
 def _cmd_ring(args) -> int:
     space = ring.make_space(args.space)
     if args.cup:
-        a_text, comma, b_text = args.cup.partition(",")
-        if not comma:
+        labels = args.cup.split(",")
+        if len(labels) != 2:
             raise ValueError(f"--cup expects two class labels '<a>,<b>', got {args.cup!r}")
+        a_text, b_text = labels
         product = ring.cup(ring.by_label(space, a_text), ring.by_label(space, b_text))
         _emit(
             {"status": "ok", "value": ring.element_to_json(product)},

@@ -3,7 +3,8 @@
 The oracle is deliberately partial: it evaluates exactly the queries it can
 reduce by the dimension rule, the fundamental-class and divisor axioms, the
 plane-curve recursion for P^2, and three-point quantum structure constants
-for Grassmannians (rim-hook rule).  Anything else raises UnsupportedQuery
+by the rim-hook rule in the box of the space (Bertram, Ciocan-Fontanine and
+Fulton, J. Algebra 219 (1999)).  Anything else raises UnsupportedQuery
 rather than returning a wrong number.
 """
 
@@ -16,8 +17,6 @@ from itertools import product as _cartesian
 
 from .errors import UnsupportedQuery
 from .ring import (
-    GRASSMANNIAN,
-    POINT,
     PROJECTIVE,
     Partition,
     RingElement,
@@ -40,11 +39,8 @@ from .value import Value
 
 def chern_generator(space: Space) -> int:
     """First Chern number of the tangent bundle on the curve generator."""
-    if space.kind == POINT:
-        return 0
-    if space.kind == PROJECTIVE:
-        return space.params[0] + 1
-    return space.params[1]
+    rows, cols = space.box
+    return rows + cols
 
 
 def virtual_dimension(space: Space, degree: int, k: int) -> int:
@@ -166,28 +162,26 @@ def _rim_reduce(nu: Partition, rows: int, cols: int, n: int):
 
 
 def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClass:
-    """Quantum product of two Schubert classes.
+    """Quantum product of two Schubert classes of a rows x cols box.
 
     Classical Littlewood-Richardson expansion first, then each shape with at
-    most k rows is reduced by n-rim hooks with signs; shapes with more rows
-    die.  Surviving coefficients are honest curve counts, so a negative or
-    fractional one is an internal error.
+    most rows rows is reduced by n-rim hooks with signs, n = rows + cols;
+    shapes with more rows die.  Surviving coefficients are honest curve
+    counts, so a negative or fractional one is an internal error.
     """
-    if space.kind != GRASSMANNIAN:
-        raise ValueError("rim-hook products are a Grassmannian operation")
-    k, n = space.params
-    cols = n - k
+    rows, cols = space.box
+    n = rows + cols
     lam, mu = tuple(lam), tuple(mu)
     for parts in (lam, mu):
-        if not in_box(parts, k, cols) or list(parts) != sorted(parts, reverse=True) or any(
+        if not in_box(parts, rows, cols) or list(parts) != sorted(parts, reverse=True) or any(
             p < 1 for p in parts
         ):
-            raise ValueError(f"partition {parts} does not fit in {k}x{cols}")
+            raise ValueError(f"partition {parts} does not fit in {rows}x{cols}")
     acc: dict[int, dict[int, Fraction]] = {}
     for nu, c in lr_expansion(lam, mu):
-        if len(nu) > k:
+        if len(nu) > rows:
             continue
-        reduced = _rim_reduce(nu, k, cols, n)
+        reduced = _rim_reduce(nu, rows, cols, n)
         if reduced is None:
             continue
         sign, count, core = reduced
@@ -300,8 +294,7 @@ def _gw_basis(space: Space, degree: int, idxs: tuple[int, ...]) -> Fraction:
             return Fraction(0)
         a, b, c = (basis_element(space, i) for i in idxs)
         return integrate(cup(cup(a, b), c))
-    if space.kind == POINT:
-        return Fraction(0)
+    # Every class of the point has degree 0, so the point ends here too.
     if any(bas[i].real_degree == 0 for i in idxs):
         return Fraction(0)
     factor = Fraction(1)
@@ -312,26 +305,12 @@ def _gw_basis(space: Space, degree: int, idxs: tuple[int, ...]) -> Fraction:
         else:
             rest.append(i)
     if space.kind == PROJECTIVE and space.params[0] == 2:
+        # The structure constants refuse more than three point insertions.
         if len(rest) != 3 * degree - 1:
             raise RuntimeError("dimension rule should force this")
         return factor * wdvv_nd(degree)
-    if space.kind == PROJECTIVE:
-        # Treat P^n (n != 2) through its rank-one Schubert ring Gr(1, n+1);
-        # P^2 takes the N_d recursion, because Gr(1,3) refuses more than
-        # three point insertions.
-        parts = [(bas[i].real_degree // 2,) for i in rest]
-        return _structure_constant_value(
-            _as_one_row_space(space), degree, parts, factor
-        )
     parts = [basis_partition(space, i) for i in rest]
     return _structure_constant_value(space, degree, parts, factor)
-
-
-@lru_cache(maxsize=None)
-def _as_one_row_space(space: Space) -> Space:
-    from .ring import grassmannian
-
-    return grassmannian(1, space.params[0] + 1)
 
 
 def _structure_constant_value(space, degree, parts, factor) -> Fraction:

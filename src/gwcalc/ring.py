@@ -1,10 +1,11 @@
 """Graded cohomology rings of the testbed spaces, over exact rationals.
 
-Spaces are a point, projective spaces P^n, and Grassmannians Gr(k, n).
-Each carries a distinguished homogeneous basis in even real degrees (the
-monomial basis 1, h, ..., h^n, or the Schubert basis indexed by partitions
-in the k x (n-k) rectangle), a cup product, and a nondegenerate Poincare
-pairing normalised so the point class integrates to 1.
+Spaces are a point, projective spaces P^n, and Grassmannians Gr(k, n), each
+a box of rows x cols: 0 x 0, 1 x n (P^n is Gr(1, n+1)) and k x (n-k).  The
+basis is the Schubert classes of the partitions in the box, the cup product
+is the Littlewood-Richardson expansion cut to the box, and the Poincare dual
+of a class is its complement in the box (Fulton, Young Tableaux, section
+9.4).  Only the box, the descriptors and the labels depend on the kind.
 
 Every value is immutable and every operation is a pure function, so the
 whole module is safe to share between threads without locks.  The
@@ -37,13 +38,19 @@ class Space(Value):
     params: tuple[int, ...] = ()
 
     @property
-    def complex_dimension(self) -> int:
+    def box(self) -> tuple[int, int]:
+        """The rows x cols box that holds the partitions of the basis."""
         if self.kind == POINT:
-            return 0
+            return (0, 0)
         if self.kind == PROJECTIVE:
-            return self.params[0]
+            return (1, self.params[0])
         k, n = self.params
-        return k * (n - k)
+        return (k, n - k)
+
+    @property
+    def complex_dimension(self) -> int:
+        rows, cols = self.box
+        return rows * cols
 
     def descriptor(self) -> str:
         if self.kind == POINT:
@@ -138,40 +145,32 @@ def rectangle_partitions(rows: int, cols: int) -> tuple[Partition, ...]:
     return tuple(acc)
 
 
-def _partition_label(parts: Partition) -> str:
+def _partition_label(space: Space, parts: Partition) -> str:
     if not parts:
         return "1"
-    return "s" + "".join(str(p) for p in parts)
+    if space.kind == GRASSMANNIAN:
+        return "s" + "".join(str(p) for p in parts)
+    return "h" if parts == (1,) else f"h^{parts[0]}"
 
 
 @lru_cache(maxsize=None)
 def basis(space: Space) -> tuple[BasisClass, ...]:
-    """The distinguished basis: Schubert classes on a Grassmannian, else the
-    monomials 1, h, ..., h^n (the point is P^0, with basis "1")."""
-    if space.kind == GRASSMANNIAN:
-        k, n = space.params
-        parts = rectangle_partitions(k, n - k)
-        return tuple(
-            BasisClass(space, i, 2 * sum(p), _partition_label(p))
-            for i, p in enumerate(parts)
-        )
-    n = space.complex_dimension
-    labels = ["1", "h"] + [f"h^{i}" for i in range(2, n + 1)]
-    return tuple(BasisClass(space, i, 2 * i, labels[i]) for i in range(n + 1))
+    """The Schubert classes of the partitions in the box: 1, h, ..., h^n on
+    P^n, s<partition> on Gr(k, n) and "1" alone on the point."""
+    return tuple(
+        BasisClass(space, i, 2 * sum(p), _partition_label(space, p))
+        for i, p in enumerate(rectangle_partitions(*space.box))
+    )
 
 
 @lru_cache(maxsize=None)
 def basis_partition(space: Space, index: int) -> Partition:
-    if space.kind != GRASSMANNIAN:
-        raise ValueError("partition indexing is a Grassmannian notion")
-    k, n = space.params
-    return rectangle_partitions(k, n - k)[index]
+    return rectangle_partitions(*space.box)[index]
 
 
 @lru_cache(maxsize=None)
 def partition_index(space: Space, parts: Partition) -> int:
-    k, n = space.params
-    return rectangle_partitions(k, n - k).index(tuple(parts))
+    return rectangle_partitions(*space.box).index(tuple(parts))
 
 
 class RingElement(Value):
@@ -280,11 +279,11 @@ def point_class(space: Space) -> RingElement:
 
 
 def generator_class(space: Space) -> RingElement:
-    """The degree-2 basis class dual to the curve-class generator."""
-    for bc in basis(space):
-        if bc.real_degree == 2:
-            return basis_element(space, bc.index)
-    raise ValueError(f"{space} has no degree-2 class")
+    """The degree-2 basis class dual to the curve-class generator: the
+    partition (1), at basis index 1 in every box but the point's."""
+    if not space.complex_dimension:
+        raise ValueError(f"{space} has no degree-2 class")
+    return basis_element(space, 1)
 
 
 def by_label(space: Space, label: str) -> RingElement:
@@ -428,23 +427,23 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
     _check_same_space(a, b)
     space = a.space
     acc: dict[int, Fraction] = {}
-    if space.kind != GRASSMANNIAN:
-        n = space.complex_dimension
-        for i, ca in a.coeffs:
-            for j, cb in b.coeffs:
-                if i + j <= n:
-                    acc[i + j] = acc.get(i + j, Fraction(0)) + ca * cb
-        return element(space, acc)
-    k, n = space.params
     for i, ca in a.coeffs:
-        la = basis_partition(space, i)
         for j, cb in b.coeffs:
-            lb = basis_partition(space, j)
-            for nu, mult in lr_expansion(la, lb):
-                if in_box(nu, k, n - k):
-                    idx = partition_index(space, nu)
-                    acc[idx] = acc.get(idx, Fraction(0)) + ca * cb * mult
+            for idx, mult in _basis_product(space, i, j):
+                acc[idx] = acc.get(idx, Fraction(0)) + ca * cb * mult
     return element(space, acc)
+
+
+@lru_cache(maxsize=None)
+def _basis_product(space: Space, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The cup product of two basis classes as (basis index, multiplicity)
+    pairs: the Littlewood-Richardson expansion cut to the box."""
+    rows, cols = space.box
+    return tuple(
+        (partition_index(space, nu), mult)
+        for nu, mult in lr_expansion(basis_partition(space, i), basis_partition(space, j))
+        if in_box(nu, rows, cols)
+    )
 
 
 def cup_all(space: Space, factors) -> RingElement:
@@ -460,27 +459,22 @@ def integrate(a: RingElement) -> Fraction:
 
 
 def h2_pairing(a: RingElement) -> Fraction:
-    """Value of a degree-2 class on the generator of H_2 (0 for a point)."""
-    if a.space.kind == POINT:
-        return Fraction(0)
-    return a.coefficient(generator_class(a.space).coeffs[0][0])
+    """Value of a degree-2 class on the generator of H_2 (0 for a point):
+    its coefficient at basis index 1, as for ``generator_class``."""
+    return a.coefficient(1)
 
 
 @lru_cache(maxsize=None)
 def dual_basis(space: Space) -> tuple[BasisClass, ...]:
-    """For each basis class, the unique basis class pairing to exactly 1.
-
-    In closed form: h^i pairs with h^(n-i), and a Schubert class with the
-    class of its complement in the k x (n-k) box (Fulton, Young Tableaux,
-    section 9.4).
+    """For each basis class, the unique basis class pairing to exactly 1:
+    the class of its complement in the box, so h^i pairs with h^(n-i) on
+    P^n (Fulton, Young Tableaux, section 9.4).
     """
     bas = basis(space)
-    if space.kind != GRASSMANNIAN:
-        return bas[::-1]
-    k, n = space.params
+    rows, cols = space.box
     return tuple(
-        bas[partition_index(space, _box_complement(parts, k, n - k))]
-        for parts in rectangle_partitions(k, n - k)
+        bas[partition_index(space, _box_complement(parts, rows, cols))]
+        for parts in rectangle_partitions(rows, cols)
     )
 
 

@@ -217,6 +217,14 @@ def test_cup_without_second_label_names_the_flag(capsys):
     assert "--cup expects two class labels '<a>,<b>', got 's1'" in err
 
 
+@pytest.mark.parametrize("text", ["s1,s1,s1", "h,h,"])
+def test_cup_with_more_than_two_labels_names_the_flag(capsys, text):
+    code, out, err = run(capsys, ["ring", "--space", "gr:2:4", "--cup", text])
+    assert code == 1
+    assert out == ""
+    assert f"--cup expects two class labels '<a>,<b>', got {text!r}" in err
+
+
 @pytest.mark.parametrize(
     "text, detail",
     [

@@ -252,6 +252,21 @@ def test_projective_space_is_the_grassmannian_of_lines(n):
             assert mono == schub, (degree, [str(a) for a, _ in triple])
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_projective_quantum_product_closed_form(n):
+    # Independent of the box: in QH(P^n) = Q[h, q]/(h^(n+1) - q),
+    # h^i * h^j = q^((i+j) div (n+1)) h^((i+j) mod (n+1)).
+    pn = ring.projective_space(n)
+
+    def power(m):
+        return ring.by_label(pn, "1" if m == 0 else "h" if m == 1 else f"h^{m}")
+
+    for i, j in product(range(n + 1), repeat=2):
+        got = star(quantum_lift(power(i)), quantum_lift(power(j)))
+        e, m = divmod(i + j, n + 1)
+        assert got.terms == ((e, power(m)),), (i, j)
+
+
 def test_rim_hook_examples():
     qc = rim_hook_product((2, 2), (2, 2), G24)
     assert qc.terms == ((2, ring.unit(G24)),)
@@ -276,7 +291,7 @@ def test_rim_hook_rejects_bad_partitions():
     with pytest.raises(ValueError):
         rim_hook_product((3,), (1,), G24)
     with pytest.raises(ValueError):
-        rim_hook_product((1,), (1,), P2)
+        rim_hook_product((1, 1), (1,), P2)
 
 
 def test_rim_hook_coefficients_nonnegative():

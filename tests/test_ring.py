@@ -145,6 +145,20 @@ def test_projective_ring_is_the_grassmannian_of_lines(n):
         assert schubert[dual.label] == gr_duals[gr_index[schubert[bc.label]]].label
 
 
+def power_label(m):
+    return "1" if m == 0 else "h" if m == 1 else f"h^{m}"
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_projective_cup_closed_form(n):
+    # Independent of the box: h^i h^j = h^(i+j), or 0 past the top degree.
+    pn = ring.projective_space(n)
+    for i, j in product(range(n + 1), repeat=2):
+        got = ring.cup(ring.by_label(pn, power_label(i)), ring.by_label(pn, power_label(j)))
+        want = {power_label(i + j): "1"} if i + j <= n else {}
+        assert ring.element_to_json(got) == want, (i, j)
+
+
 def test_integrate():
     p2 = ring.projective_space(2)
     assert ring.integrate(ring.by_label(p2, "h^2")) == 1
