@@ -304,8 +304,7 @@ def _gw_basis(space: Space, degree: int, idxs: tuple[int, ...]) -> Fraction:
             factor *= degree
         else:
             rest.append(i)
-    if space.kind == PROJECTIVE and space.params[0] == 2:
-        # The structure constants refuse more than three point insertions.
+    if _non_divisor_limit(space) is None:  # P^2: N_d takes any number of points
         if len(rest) != 3 * degree - 1:
             raise RuntimeError("dimension rule should force this")
         return factor * wdvv_nd(degree)
@@ -313,8 +312,17 @@ def _gw_basis(space: Space, degree: int, idxs: tuple[int, ...]) -> Fraction:
     return _structure_constant_value(space, degree, parts, factor)
 
 
+def _non_divisor_limit(space: Space) -> int | None:
+    """The most insertions of real degree above 2 that the oracle evaluates
+    in positive curve degree: any number on P^2, through the N_d recursion,
+    and three elsewhere, the three points of a structure constant."""
+    if space.kind == PROJECTIVE and space.params[0] == 2:
+        return None
+    return 3
+
+
 def _structure_constant_value(space, degree, parts, factor) -> Fraction:
-    if len(parts) > 3:
+    if len(parts) > _non_divisor_limit(space):
         raise UnsupportedQuery(
             "more than three non-divisor insertions on a Grassmannian: "
             f"{parts} at degree {degree}"
@@ -330,26 +338,29 @@ def _structure_constant_value(space, degree, parts, factor) -> Fraction:
 # Certificate search for point-constrained nonzero invariants.
 
 
-def _extra_multisets(space: Space, budget: int):
+def _extra_multisets(space: Space, budget: int, max_length: int | None):
     """Multisets of basis classes of degree >= 4 with sum(deg - 2) == budget,
-    shortest first."""
-    pool = [bc for bc in basis(space) if bc.real_degree >= 4]
-    found: list[tuple[int, ...]] = []
+    as ascending index tuples, lazily: shortest first, lexicographic within
+    one length, and none longer than max_length (None: no cap)."""
+    pool = [(bc.index, bc.real_degree - 2) for bc in basis(space) if bc.real_degree >= 4]
+    longest = budget // pool[0][1] if pool else 0
+    if max_length is not None:
+        longest = min(longest, max_length)
 
-    def grow(start: int, remaining: int, acc: list[int]) -> None:
-        if remaining == 0:
-            found.append(tuple(acc))
+    def grow(start: int, remaining: int, length: int):
+        if length == 0:
+            if remaining == 0:
+                yield ()
             return
         for i in range(start, len(pool)):
-            step = pool[i].real_degree - 2
-            if step <= remaining:
-                acc.append(pool[i].index)
-                grow(i, remaining - step, acc)
-                acc.pop()
+            index, step = pool[i]
+            if step * length > remaining:
+                return  # the pool ascends by degree: no later step is smaller
+            for rest in grow(i, remaining - step, length - 1):
+                yield (index,) + rest
 
-    grow(0, budget, [])
-    found.sort(key=lambda t: (len(t), t))
-    return found
+    for length in range(longest + 1):
+        yield from grow(0, budget, length)
 
 
 def _certificate_in_degree(space: Space, degree: int, k_points: int) -> Witness | None:
@@ -361,8 +372,14 @@ def _certificate_in_degree(space: Space, degree: int, k_points: int) -> Witness 
     budget = virtual_dimension(space, degree, k_points) - 2 * n * k_points
     if budget < 0:
         return None
-    points = (point_class(space),) * k_points
-    for extras in _extra_multisets(space, budget):
+    pt = point_class(space)
+    # Longer multisets exceed what the oracle evaluates, so it would refuse
+    # every one of them; the point classes count toward that limit too.
+    limit = _non_divisor_limit(space)
+    if limit is not None and pt.homogeneous_degree() > 2:
+        limit -= k_points
+    points = (pt,) * k_points
+    for extras in _extra_multisets(space, budget, limit):
         insertions = points + tuple(basis_element(space, i) for i in extras)
         try:
             value = gw_invariant(space, degree, insertions)

@@ -14,7 +14,10 @@ ring element, so a memo keyed on them finds its entry by identity; equality
 and hashing stay field-wise, and a value built around the constructors
 still compares equal.  The element table lives as long as the process, like
 the ``lru_cache`` tables, and two threads that race on an entry keep the
-object ``dict.setdefault`` stored first.
+object ``dict.setdefault`` stored first.  ``cup`` is one of those tables,
+keyed on the ordered pair of factors (a, b): the lattice walks of the
+comparison identity multiply the same few blocks thousands of times, and
+each repeat is a lookup by identity.
 """
 
 from __future__ import annotations
@@ -423,7 +426,11 @@ def lr_expansion(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], 
 # Cup product, integration, duality.
 
 
+@lru_cache(maxsize=None)
 def cup(a: RingElement, b: RingElement) -> RingElement:
+    """The cup product, memoised per process on the pair of shared elements
+    (a, b) in that order; a space mismatch raises again on every call,
+    because lru_cache keeps no exceptions."""
     _check_same_space(a, b)
     space = a.space
     acc: dict[int, Fraction] = {}

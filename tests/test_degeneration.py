@@ -5,8 +5,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gwcalc import degeneration, ring
+from gwcalc import degeneration, quantum, ring
 from gwcalc.degeneration import (
     AmbientInsertion,
     ShriekInsertion,
@@ -300,6 +301,72 @@ def test_solver_round_trip(name):
                     + tuple(ring.shriek_pushforward(cut.divisor, b) for b in betas),
                 )
                 assert rhs == lhs, (name, betas, alphas, degree)
+
+
+# Most transferred classes inside the hypothesis: none bound the point
+# divisor (p1-pt is cut short for time), and the line in the plane has
+# minimal normal Chern number 1.
+_PROPERTY_TRANSFERS = {"p1-pt": 4, "p2-line": 1}
+
+
+@st.composite
+def _degree_classes(draw, space, complex_degrees):
+    """A class of each given complex degree: a small nonzero integer times
+    the one basis class of that degree (P^1, P^2, the line and the point
+    have one per degree)."""
+    out = []
+    for d in complex_degrees:
+        (index,) = [bc.index for bc in ring.basis(space) if bc.real_degree == 2 * d]
+        out.append(draw(st.sampled_from([-2, -1, 1, 2, 3])) * ring.basis_element(space, index))
+    return tuple(out)
+
+
+@st.composite
+def round_trip_queries(draw):
+    """(cut, degree, alphas, betas) inside the hypothesis, the degrees of
+    the alphas meeting the dimension rule whenever they can."""
+    name = draw(st.sampled_from(sorted(_PROPERTY_TRANSFERS)))
+    cut = named_testbed(name)
+    x, z = cut.divisor.ambient, cut.divisor.divisor
+    # Fiber lines need positive degree, so degree 0 is outside the identity.
+    degree = draw(st.integers(1, 3))
+    beta_degrees = draw(
+        st.lists(st.integers(0, z.complex_dimension), max_size=_PROPERTY_TRANSFERS[name])
+    )
+    count = draw(st.integers(0, 3 * degree))
+    # Each transfer raises its class's degree by one.
+    remaining = quantum.virtual_dimension(x, degree, count + len(beta_degrees)) // 2
+    remaining -= sum(beta_degrees) + len(beta_degrees)
+    alpha_degrees = []
+    for left in range(count, 0, -1):
+        lo = max(0, remaining - (left - 1) * x.complex_dimension)
+        hi = min(x.complex_dimension, remaining)
+        part = draw(st.integers(lo, hi) if lo <= hi else st.integers(0, x.complex_dimension))
+        alpha_degrees.append(part)
+        remaining -= part
+    alphas = draw(_degree_classes(x, alpha_degrees))
+    betas = draw(_degree_classes(z, beta_degrees))
+    return cut, degree, alphas, betas
+
+
+@settings(max_examples=60, deadline=None)
+@given(round_trip_queries())
+def test_comparison_round_trip_property(query):
+    cut, degree, alphas, betas = query
+    lhs = gw_invariant(
+        cut.divisor.ambient,
+        degree,
+        alphas + tuple(ring.shriek_pushforward(cut.divisor, b) for b in betas),
+    )
+    table = solve_relative(cut, degree, alphas, betas)
+    rhs, _ = comparison_rhs(cut, degree, alphas, betas, table_oracle(table))
+    assert rhs == lhs
+    if cut.divisor.divisor.kind == ring.POINT:
+        # The solver recovers the closed form, an independent oracle.
+        closed = closed_form_oracle(cut)
+        assert all(value == closed(degree, alphas, mu) for mu, value in table.items())
+    report = verify_comparison(cut, degree, alphas, betas)
+    assert (report.status, report.lhs, report.equal) == ("ok", lhs, True)
 
 
 def test_solver_single_beta_is_direct():

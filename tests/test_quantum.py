@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gwcalc import ring
+from gwcalc import quantum, ring
 from gwcalc.errors import UnsupportedQuery
 from gwcalc.quantum import (
     chern_generator,
@@ -367,6 +367,78 @@ def test_rc_certificate_examples():
     w3 = rc_certificate(G24, 3, 2)
     assert w3 is not None and w3.query.degree == 2 and w3.value == 1
     assert rc_certificate(ring.point_space(), 1, 3) is None
+
+
+def _uncapped_multisets(space, budget):
+    """The certificate search's enumerator before its length cap: every
+    multiset of basis classes of degree >= 4 with sum(deg - 2) == budget,
+    built in full, then sorted shortest first."""
+    pool = [bc for bc in ring.basis(space) if bc.real_degree >= 4]
+    found = []
+
+    def grow(start, remaining, acc):
+        if remaining == 0:
+            found.append(tuple(acc))
+            return
+        for i in range(start, len(pool)):
+            step = pool[i].real_degree - 2
+            if step <= remaining:
+                acc.append(pool[i].index)
+                grow(i, remaining - step, acc)
+                acc.pop()
+
+    grow(0, budget, [])
+    found.sort(key=lambda t: (len(t), t))
+    return found
+
+
+def _uncapped_certificate(space, k_points, max_degree):
+    """rc_certificate over the uncapped enumerator, trying every multiset and
+    skipping the ones the oracle refuses."""
+    points = (ring.point_class(space),) * k_points
+    for degree in range(1, max_degree + 1):
+        budget = virtual_dimension(space, degree, k_points) - 2 * space.complex_dimension * k_points
+        if budget < 0:
+            continue
+        for extras in _uncapped_multisets(space, budget):
+            insertions = points + tuple(ring.basis_element(space, i) for i in extras)
+            try:
+                value = gw_invariant(space, degree, insertions)
+            except UnsupportedQuery:
+                continue
+            if value != 0:
+                return degree, insertions, value
+    return None
+
+
+CERTIFICATE_SPACES = (
+    [ring.point_space()]
+    + [ring.projective_space(n) for n in range(1, 6)]
+    + [ring.grassmannian(k, n) for n in range(2, 7) for k in range(1, n)]
+)
+
+
+@pytest.mark.parametrize("space", CERTIFICATE_SPACES, ids=str)
+def test_rc_certificate_cap_keeps_the_first_witness(space):
+    # The search stops at the longest multiset the oracle evaluates; the
+    # uncapped search skips every longer one as refused, so both find the
+    # same first witness, or none.
+    for k_points, max_degree in product(range(4), range(1, 4)):
+        witness = rc_certificate(space, k_points, max_degree)
+        found = witness and (witness.query.degree, witness.query.insertions, witness.value)
+        assert found == _uncapped_certificate(space, k_points, max_degree), (
+            k_points,
+            max_degree,
+        )
+
+
+@pytest.mark.parametrize("space", CERTIFICATE_SPACES, ids=str)
+def test_extra_multisets_are_the_uncapped_list_cut_by_length(space):
+    for budget in range(17):
+        uncapped = _uncapped_multisets(space, budget)
+        for cap in (None, 0, 1, 2, 3):
+            capped = list(quantum._extra_multisets(space, budget, cap))
+            assert capped == [m for m in uncapped if cap is None or len(m) <= cap]
 
 
 def test_nonzero_invariant_search():

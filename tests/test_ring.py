@@ -88,8 +88,32 @@ def test_cup_projective():
 
 
 def test_cup_space_mismatch():
-    with pytest.raises(ValueError):
-        ring.cup(ring.unit(ring.projective_space(1)), ring.unit(ring.projective_space(2)))
+    # cup is memoised, and lru_cache keeps no exceptions: a repeat raises too.
+    a, b = ring.unit(ring.projective_space(1)), ring.unit(ring.projective_space(2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="space mismatch"):
+            ring.cup(a, b)
+
+
+def test_cup_is_memoised():
+    g = ring.grassmannian(2, 4)
+    s1, s2 = ring.by_label(g, "s1"), ring.by_label(g, "s2")
+    assert ring.cup(s1, s2) is ring.cup(s1, s2)
+
+
+def test_cup_of_elements_built_by_different_routes_is_one_object():
+    g = ring.grassmannian(2, 4)
+    s1 = ring.by_label(g, "s1")
+    direct = ring.element(g, {1: 2, 2: 1})
+    built = 2 * s1 + ring.by_label(g, "s2")
+    assert built is direct
+    assert ring.cup(built, s1) is ring.cup(direct, s1)
+    assert ring.cup(s1, built) is ring.cup(s1, direct)
+    # A value built around the constructors is equal but not shared; the
+    # memo finds the same entry through field-wise equality.
+    unshared = ring.RingElement(g, direct.coeffs)
+    assert unshared is not direct
+    assert ring.cup(unshared, s1) is ring.cup(direct, s1)
 
 
 def test_cup_grassmannian_example():
