@@ -20,11 +20,11 @@ from itertools import product as _cartesian
 from .errors import HypothesisViolated, Inapplicable, UnsupportedQuery
 from .partitions import (
     InvariantKey,
-    WeightedPair,
     WeightedPartition,
     delta_factor,
     order_key,
     partition_to_text,
+    weighted_pair,
     weighted_partition,
 )
 from .quantum import AbsoluteQuery, gw_invariant
@@ -205,8 +205,8 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
                 if gammas[-1].is_zero():
                     break
             else:
-                pairs = [WeightedPair(1, g) for g in gammas]
-                pairs += [WeightedPair(1, unit(z_space))] * (weight - count)
+                pairs = [weighted_pair(1, g) for g in gammas]
+                pairs += [weighted_pair(1, unit(z_space))] * (weight - count)
                 entry = (blocks, tuple(gammas), weighted_partition(z_space, pairs))
                 walk.append(entry)
                 yield entry
@@ -487,7 +487,7 @@ def enumerate_terms(
             bundle,
             1,
             [Pullback(unit(z_space))],
-            weighted_partition(z_space, [WeightedPair(1, unit(z_space))]),
+            weighted_partition(z_space, [weighted_pair(1, unit(z_space))]),
         )
         dropped.append(
             (
@@ -501,7 +501,7 @@ def enumerate_terms(
             bundle,
             2,
             [],
-            weighted_partition(z_space, [WeightedPair(2, point_class(z_space))]),
+            weighted_partition(z_space, [weighted_pair(2, point_class(z_space))]),
         )
         dropped.append(
             (
@@ -532,7 +532,7 @@ def enumerate_terms(
                     bundle,
                     1,
                     [ZeroSection(b) for b in betas],
-                    weighted_partition(z_space, [WeightedPair(1, gamma)]),
+                    weighted_partition(z_space, [weighted_pair(1, gamma)]),
                 )
                 v = relative_invariant(query)
                 if v == 0:
@@ -544,10 +544,10 @@ def enumerate_terms(
             if not ok:
                 continue
             mu = weighted_partition(
-                z_space, (WeightedPair(1, c.tangency_weight) for c in components)
+                z_space, (weighted_pair(1, c.tangency_weight) for c in components)
             )
             dual_pairs = [
-                WeightedPair(1, basis_element(z_space, duals[widx].index))
+                weighted_pair(1, basis_element(z_space, duals[widx].index))
                 for widx in assignment
             ]
             mu_dual = weighted_partition(z_space, dual_pairs)

@@ -5,6 +5,16 @@ divisor's cohomology; it records tangency orders together with the classes
 constraining the contact points.  This module supplies the size and
 lexicographic comparisons, automorphism counts, the gluing factor, and the
 order on invariant keys used to pick minimal terms, as one sort key.
+
+The constructors hand out one shared object per value, as ``ring.element``
+does: ``weighted_pair`` keeps one pair per (multiplicity, weight) and
+``weighted_partition`` one partition per (space, canonically sorted shared
+pairs).  Weights are shared ring elements, so each key is found by identity,
+and the lattice solver's table of partitions is read by identity too.  A
+value is validated when it is first built; a refused one is never stored,
+so it is refused again on every call.  Equality, hashing, repr and pickling
+stay field-wise, so a pair or partition built around the constructors
+still compares equal.
 """
 
 from __future__ import annotations
@@ -53,6 +63,20 @@ class WeightedPair(Value):
 _put_degree = WeightedPair.weight_degree.__set__
 
 
+# The shared pair of each (multiplicity, weight); like ring's element table,
+# it lives as long as the process.
+_pairs: dict[tuple, WeightedPair] = {}
+
+
+def weighted_pair(multiplicity: int, weight: RingElement) -> WeightedPair:
+    """The one shared pair of this multiplicity and weight."""
+    key = (multiplicity, weight)
+    found = _pairs.get(key)
+    if found is None:
+        found = _pairs.setdefault(key, WeightedPair(multiplicity, weight))
+    return found
+
+
 def _size(pair: WeightedPair) -> tuple[int, int]:
     return (pair.multiplicity, pair.weight_degree)
 
@@ -83,17 +107,30 @@ class WeightedPartition(Value):
     pairs: tuple[WeightedPair, ...]
 
 
+# The shared partition of each (space, canonically sorted shared pairs).
+_partitions: dict[tuple, WeightedPartition] = {}
+
+
 def weighted_partition(space: Space, pairs) -> WeightedPartition:
-    pairs = tuple(pairs)
-    for p in pairs:
-        if p.weight.space != space:
-            raise ValueError("weight lives on the wrong space")
-    return WeightedPartition(space, tuple(sorted(pairs, key=_canonical_key)))
+    """The one shared partition of these pairs, in any order, over space."""
+    pairs = tuple(sorted(pairs, key=_canonical_key))
+    found = _partitions.get((space, pairs))
+    if found is None:
+        for p in pairs:
+            if p.weight.space != space:
+                raise ValueError("weight lives on the wrong space")
+        # Stored under the shared pairs, so pairs built around weighted_pair
+        # never end up in a key that later lookups compare field by field.
+        pairs = tuple(weighted_pair(p.multiplicity, p.weight) for p in pairs)
+        found = _partitions.setdefault(
+            (space, pairs), WeightedPartition(space, pairs)
+        )
+    return found
 
 
 def pairs_of(space: Space, data) -> WeightedPartition:
     """Build a partition from (multiplicity, element) tuples."""
-    return weighted_partition(space, (WeightedPair(m, w) for m, w in data))
+    return weighted_partition(space, (weighted_pair(m, w) for m, w in data))
 
 
 def total_weight(mu: WeightedPartition) -> int:
@@ -194,7 +231,7 @@ def parse_partition(space: Space, text: str) -> WeightedPartition:
             m = parse_integer(m_text)
         except ValueError:
             raise ValueError(f"bad multiplicity {m_text!r} in {chunk!r}") from None
-        pairs.append(WeightedPair(m, by_label(space, label.strip())))
+        pairs.append(weighted_pair(m, by_label(space, label.strip())))
     return weighted_partition(space, pairs)
 
 

@@ -397,7 +397,12 @@ def _count_lr_tableaux(nu: Partition, lam: Partition, mu: Partition) -> int:
             del grid[(r, c)]
         return total
 
-    return fill(0)
+    # fill refers to itself through its closure; dropping the name once the
+    # count is done breaks that cycle, so nothing waits for the collector.
+    try:
+        return fill(0)
+    finally:
+        del fill
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Ring tests: bases, cup products against an independent Pieri oracle,
 pairing nondegeneracy, and the transfer map's projection formula."""
 
+import gc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -335,3 +336,16 @@ def test_lr_expansion_symmetric():
     # A classical multiplicity: s_21 * s_21 contains s_321 twice.
     table = dict(ring.lr_expansion((2, 1), (2, 1)))
     assert table[(3, 2, 1)] == 2
+
+
+def test_lr_tableau_count_leaves_no_cycle_for_the_collector():
+    # Each count must be freed by reference counting alone: with the
+    # collector off, repeated calls leave nothing for gc.collect().
+    gc.collect()
+    gc.disable()
+    try:
+        counts = [ring._count_lr_tableaux((3, 2, 1), (2, 1), (2, 1)) for _ in range(10)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert counts == [2] * 10

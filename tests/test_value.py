@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gwcalc import ring
+from gwcalc import degeneration, partitions, ring
 from gwcalc.degeneration import (
     AmbientInsertion,
     ComparisonReport,
@@ -26,7 +26,16 @@ from gwcalc.degeneration import (
     table_oracle,
 )
 from gwcalc.degeneration import testbed_cut as named_cut
-from gwcalc.partitions import InvariantKey, WeightedPair, empty_partition
+from gwcalc.partitions import (
+    InvariantKey,
+    WeightedPair,
+    WeightedPartition,
+    empty_partition,
+    pairs_of,
+    parse_partition,
+    weighted_pair,
+    weighted_partition,
+)
 from gwcalc.quantum import gw_invariant
 from gwcalc.relative import FiberClass, SectionClass, ZeroSection
 from gwcalc.value import Value
@@ -145,6 +154,129 @@ def test_constructors_share_one_object_per_value():
     assert ring.shriek_pushforward(divisor, h) is ring.by_label(divisor.ambient, "h^2")
 
 
+def test_pairs_in_any_order_share_one_partition():
+    z = ring.projective_space(2)
+    one, h, pt = (ring.by_label(z, label) for label in ("1", "h", "pt"))
+    pairs = [weighted_pair(2, h), weighted_pair(1, pt), weighted_pair(1, one), weighted_pair(1, pt)]
+    assert weighted_pair(2, h) is pairs[0] and pairs[1] is pairs[3]
+    shared = weighted_partition(z, pairs)
+    for order in (pairs[::-1], pairs[1:] + pairs[:1], iter(pairs)):
+        assert weighted_partition(z, order) is shared
+    assert shared.pairs == tuple(sorted(pairs, key=partitions._canonical_key))
+    assert empty_partition(z) is weighted_partition(z, ()) is parse_partition(z, "empty")
+
+
+def test_every_route_to_a_partition_gives_the_shared_object():
+    z = ring.projective_space(1)
+    one, pt = ring.unit(z), ring.point_class(z)
+    shared = weighted_partition(z, [weighted_pair(1, pt), weighted_pair(2, one)])
+    assert pairs_of(z, [(2, one), (1, pt)]) is shared
+    assert parse_partition(z, "(1,pt)+(2,1)") is shared
+    # Built around weighted_pair, the pairs still lead to the shared
+    # partition, and the shared partition keeps the shared pairs.
+    assert weighted_partition(z, [WeightedPair(2, one), WeightedPair(1, pt)]) is shared
+    assert all(p is weighted_pair(p.multiplicity, p.weight) for p in shared.pairs)
+    # The solver's keys are the walk's partitions, and every other route
+    # reaches them too; the labels "2*1" and "6*1" do not parse back.
+    cut = named_cut("p2-line")
+    x = cut.divisor.ambient
+    for n_points, betas, parsed in ((3, [pt, one, one], 1), (5, [2 * one, 3 * one], 0)):
+        alphas = [ring.point_class(x)] * n_points
+        walk = degeneration.comparison_partitions(z, betas, 2)
+        table = solve_relative(cut, 2, alphas, betas, require_hypothesis=False)
+        assert len(table) == 2 - parsed
+        for mu in table:
+            assert pairs_of(z, [(p.multiplicity, p.weight) for p in mu.pairs]) is mu
+            assert any(walk_mu is mu for walk_mu, _ in walk)
+            if parsed:
+                assert parse_partition(z, partitions.partition_to_text(mu)) is mu
+
+
+def test_refused_pairs_and_partitions_are_refused_on_every_call():
+    z = ring.projective_space(1)
+    one = ring.unit(z)
+    # The same pair over its own space is stored first; over z it is refused.
+    elsewhere = weighted_pair(1, ring.unit(ring.projective_space(2)))
+    assert weighted_partition(ring.projective_space(2), [elsewhere]).pairs == (elsewhere,)
+    refused = [
+        ("multiplicity must be positive", lambda: weighted_pair(0, one)),
+        ("multiplicity must be positive", lambda: pairs_of(z, [(0, one)])),
+        ("must be nonzero", lambda: weighted_pair(1, ring.zero(z))),
+        ("must be homogeneous", lambda: weighted_pair(1, one + ring.point_class(z))),
+        ("wrong space", lambda: weighted_partition(z, [elsewhere])),
+        ("wrong space", lambda: pairs_of(z, [(1, one), (1, elsewhere.weight)])),
+    ]
+    for message, build in refused:
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+
+def test_pair_and_partition_twins_compare_equal_and_key_dicts():
+    z = ring.projective_space(2)
+    h = ring.generator_class(z)
+    pair = weighted_pair(2, h)
+    mu = pairs_of(z, [(2, h), (1, ring.point_class(z))])
+    direct_pair = WeightedPair(2, ring.RingElement(ring.Space("projective", (2,)), ((1, Fraction(1)),)))
+    direct_mu = WeightedPartition(
+        ring.Space("projective", (2,)), tuple(WeightedPair(p.multiplicity, p.weight) for p in mu.pairs)
+    )
+    for value, direct in ((pair, direct_pair), (mu, direct_mu)):
+        twins = [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)), direct]
+        for twin in twins:
+            assert twin == value and value == twin and hash(twin) == hash(value)
+            assert {value: "value"}[twin] == "value"
+            assert {twin: "value"}[value] == "value"
+            assert repr(twin) == repr(value)
+    assert direct_pair.weight_degree == pair.weight_degree == 2
+
+
+def test_threads_racing_on_new_partitions_share_one_object(monkeypatch):
+    # As for ring elements: every multiplicity is new to the process, the
+    # threads meet before each one, and building a pair or a partition
+    # sleeps, so they race to store each entry and must all get the stored
+    # object back.
+    build_pair, build_partition = partitions.WeightedPair, partitions.WeightedPartition
+
+    def slow_pair(*fields):
+        time.sleep(0.001)
+        return build_pair(*fields)
+
+    def slow_partition(*fields):
+        time.sleep(0.001)
+        return build_partition(*fields)
+
+    monkeypatch.setattr(partitions, "WeightedPair", slow_pair)
+    monkeypatch.setattr(partitions, "WeightedPartition", slow_partition)
+    z = ring.grassmannian(3, 6)
+    weight = ring.point_class(z)
+    multiplicities = range(7919, 7919 + 40)
+    results = [[] for _ in range(6)]
+    step = threading.Barrier(len(results))
+
+    def build(slot):
+        for m in multiplicities:
+            step.wait(timeout=30)
+            results[slot].append(weighted_partition(z, [weighted_pair(m, weight)]))
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    first = results[0]
+    assert len(first) == len(multiplicities)
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(first, other, strict=True))
+        assert all(a.pairs[0] is b.pairs[0] for a, b in zip(first, other))
+
+
 def test_values_built_around_the_constructors_compare_equal():
     shared = ring.element(G24, {1: 2, 3: Fraction(1, 3)})
     assert ring.element(G24, {3: Fraction(2, 6), 1: 2}) is shared
@@ -227,6 +359,34 @@ def test_repeated_round_trip_compares_no_distinct_ring_values(monkeypatch):
     assert round_trip() == first
     monkeypatch.undo()
     assert distinct.get("RingElement", 0) == distinct.get("Space", 0) == 0, distinct
+
+
+def test_first_round_trip_compares_no_distinct_partitions(monkeypatch):
+    # Even a first round trip, which walks the lattice afresh, finds every
+    # weighted partition in the solver's table and the oracle by identity.
+    monkeypatch.setattr(degeneration, "_last_walk", (None, ()))
+    cut = named_cut("p2-line")
+    x, z = cut.divisor.ambient, cut.divisor.divisor
+    alphas = [ring.by_label(x, "pt")] * 6
+    betas = [ring.by_label(z, b) for b in ("pt", "1", "1", "pt", "1", "1", "1")]
+    distinct = {}
+    field_wise = Value.__eq__
+
+    def counting_eq(self, other):
+        if other is not self:
+            name = type(self).__name__
+            distinct[name] = distinct.get(name, 0) + 1
+        return field_wise(self, other)
+
+    monkeypatch.setattr(Value, "__eq__", counting_eq)
+    table = solve_relative(cut, 3, alphas, betas, require_hypothesis=False)
+    oracle = table_oracle(table)
+    rhs, terms = comparison_rhs(cut, 3, alphas, betas, oracle, require_hypothesis=False)
+    monkeypatch.undo()
+    shrieks = [ring.shriek_pushforward(cut.divisor, b) for b in betas]
+    assert rhs == gw_invariant(x, 3, alphas + shrieks) == 2916
+    assert len(terms) > 100
+    assert distinct.get("WeightedPair", 0) == distinct.get("WeightedPartition", 0) == 0, distinct
 
 
 def test_every_value_type_is_slotted():
