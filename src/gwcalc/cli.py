@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout; a one-line human summary goes to
 stderr.  Exit codes: 0 for ok or a vanishing result, 1 for usage or
-parse errors, 2 for unsupported queries, 3 for violated hypotheses.
+parse errors, 2 for unsupported queries, 3 for violated hypotheses, 4 when
+`gw verify` finds a checked identity false.
 """
 
 from __future__ import annotations
@@ -12,14 +13,16 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from . import degeneration, partitions, quantum, relative, ring
+from . import battery, degeneration, partitions, quantum, relative, ring
 from .errors import HypothesisViolated, Inapplicable, UnsupportedQuery
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNSUPPORTED = 2
 EXIT_HYPOTHESIS = 3
+EXIT_UNEQUAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,6 +162,19 @@ def _cmd_ring(args) -> int:
         table = {bc.label: duals[bc.index].label for bc in ring.basis(space)}
         _emit(table, f"dual basis of {space}")
         return EXIT_OK
+    if args.quantum:
+        parts = ring.rectangle_partitions(*space.box)
+        labels = [bc.label for bc in ring.basis(space)]
+        table = {}
+        for i, j in combinations_with_replacement(range(len(parts)), 2):
+            product = quantum.rim_hook_product(parts[i], parts[j], space)
+            table[f"{labels[i]} * {labels[j]}"] = {
+                (f"q^{power}*" if power else "") + labels[idx]: _exact(coeff)
+                for power, elem in product.terms
+                for idx, coeff in elem.coeffs
+            }
+        _emit(table, f"quantum products on {space}")
+        return EXIT_OK
     listing = {
         bc.label: bc.real_degree for bc in ring.basis(space)
     }
@@ -202,37 +218,50 @@ def _cmd_rel(args) -> int:
     return EXIT_OK
 
 
-def _default_verify_cases(cut, max_degree: int):
-    """Deterministic battery for the plane/line testbed."""
-    z = cut.divisor.divisor
-    x = cut.divisor.ambient
-    pt_x = ring.point_class(x)
-    cases = []
-    for degree in range(1, max_degree + 1):
-        if degree == 1:
-            cases.append((degree, (pt_x, pt_x), (ring.unit(z),)))
-            cases.append((degree, (pt_x,), (ring.point_class(z),)))
-        else:
-            cases.append((degree, (pt_x,) * (3 * degree - 1), (ring.unit(z),)))
-    return cases
+def _refuse_unread(args, shape: str, *reads: str) -> None:
+    """The options of `gw verify` default to absent from `args`, so any
+    option present that `shape` does not read was given by the user."""
+    unread = sorted(vars(args).keys() - {"command", "fn", "what", *reads})
+    if unread:
+        flag = "--" + unread[0].replace("_", "-")
+        raise ValueError(f"verify {shape} does not read {flag}")
+
+
+def _verdict(reports) -> int:
+    """2 if any comparison was refused, else 4 if any identity is false."""
+    if any(r.status != "ok" for r in reports):
+        return EXIT_UNSUPPORTED
+    return EXIT_OK if all(r.equal for r in reports) else EXIT_UNEQUAL
 
 
 def _cmd_verify(args) -> int:
-    if args.what != "comparison":
-        raise ValueError("only 'comparison' verification is available")
+    if args.what == "battery":
+        _refuse_unread(args, "battery")
+        report = battery.report()
+        _emit(report, f"verification battery: all_ok={report['all_ok']}")
+        return EXIT_OK if report["all_ok"] else EXIT_UNEQUAL
+    if not hasattr(args, "testbed"):
+        raise ValueError("verify comparison needs --testbed")
     cut = degeneration.testbed_cut(args.testbed)
     z = cut.divisor.divisor
-    if args.alphas or args.betas:
+    verbose = getattr(args, "verbose", False)
+    if getattr(args, "alphas", "") or getattr(args, "betas", ""):
+        _refuse_unread(
+            args, "comparison --alphas/--betas",
+            "testbed", "degree", "alphas", "betas", "verbose",
+        )
         x = cut.divisor.ambient
-        alphas = _parse_insertions(x, args.alphas)
-        betas = _parse_insertions(z, args.betas)
-        report = degeneration.verify_comparison(cut, args.degree, alphas, betas)
-        payload = _report_json(report, args.verbose)
+        alphas = _parse_insertions(x, getattr(args, "alphas", ""))
+        betas = _parse_insertions(z, getattr(args, "betas", ""))
+        degree = getattr(args, "degree", 1)
+        report = degeneration.verify_comparison(cut, degree, alphas, betas)
+        payload = _report_json(report, verbose)
         summary = f"lhs={payload['lhs']} rhs={payload['rhs']} equal={report.equal}"
         _emit(payload, summary)
-        return EXIT_OK if report.status == "ok" else EXIT_UNSUPPORTED
+        return _verdict([report])
     if args.testbed == "p1-pt":
-        m = args.points
+        _refuse_unread(args, "comparison on p1-pt", "testbed", "points", "verbose")
+        m = getattr(args, "points", 3)
         if m < 2:
             raise ValueError("--points must be at least 2")
         x = cut.divisor.ambient
@@ -244,25 +273,26 @@ def _cmd_verify(args) -> int:
             "lhs": _exact(report.lhs),
             "rhs": _exact(report.rhs),
         }
-        if args.verbose:
+        if verbose:
             payload["terms"] = _report_json(report, True)["terms"]
         _emit(payload, f"{m}-point identity on the line: equal={report.equal}")
-        return EXIT_OK if report.status == "ok" else EXIT_UNSUPPORTED
-    if args.max_degree < 1:
+        return _verdict([report])
+    _refuse_unread(args, "comparison on p2-line", "testbed", "max_degree", "verbose")
+    max_degree = getattr(args, "max_degree", 1)
+    if max_degree < 1:
         raise ValueError("--max-degree must be at least 1")
-    cases = _default_verify_cases(cut, args.max_degree)
     reports = [
         degeneration.verify_comparison(cut, d, alphas, betas)
-        for d, alphas, betas in cases
+        for d, alphas, betas in battery.comparison_cases(cut, max_degree)
     ]
     ok = all(r.status == "ok" for r in reports)
     payload = {
         "testbed": args.testbed,
         "equal": all(r.equal for r in reports if r.equal is not None) and ok,
-        "cases": [_report_json(r, args.verbose) for r in reports],
+        "cases": [_report_json(r, verbose) for r in reports],
     }
     _emit(payload, f"{len(reports)} comparison cases, equal={payload['equal']}")
-    return EXIT_OK if ok else EXIT_UNSUPPORTED
+    return _verdict(reports)
 
 
 def _cmd_solve(args) -> int:
@@ -338,6 +368,7 @@ def build_parser() -> _Parser:
     p_ring.add_argument("--space", required=True)
     p_ring.add_argument("--cup", default="")
     p_ring.add_argument("--dual", action="store_true")
+    p_ring.add_argument("--quantum", action="store_true")
     p_ring.set_defaults(fn=_cmd_ring)
 
     p_rel = sub.add_parser("rel", help="relative invariant of a bundle")
@@ -348,14 +379,15 @@ def build_parser() -> _Parser:
     p_rel.set_defaults(fn=_cmd_rel)
 
     p_verify = sub.add_parser("verify", help="verify identities on a testbed")
-    p_verify.add_argument("what")
-    p_verify.add_argument("--testbed", required=True)
-    p_verify.add_argument("--points", type=_int_option, default=3)
-    p_verify.add_argument("--max-degree", type=_int_option, default=1)
-    p_verify.add_argument("--degree", type=_int_option, default=1)
-    p_verify.add_argument("--alphas", default="")
-    p_verify.add_argument("--betas", default="")
-    p_verify.add_argument("--verbose", action="store_true")
+    p_verify.add_argument("what", choices=("comparison", "battery"))
+    absent = {"default": argparse.SUPPRESS}
+    p_verify.add_argument("--testbed", **absent)
+    p_verify.add_argument("--points", type=_int_option, **absent)
+    p_verify.add_argument("--max-degree", type=_int_option, **absent)
+    p_verify.add_argument("--degree", type=_int_option, **absent)
+    p_verify.add_argument("--alphas", **absent)
+    p_verify.add_argument("--betas", **absent)
+    p_verify.add_argument("--verbose", action="store_true", **absent)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_solve = sub.add_parser("solve", help="solve for relative invariants")

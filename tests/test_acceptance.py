@@ -6,39 +6,26 @@ the offending case attached.
 """
 
 import json
-import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from pathlib import Path
 
-from gwcalc import ring
-from gwcalc.degeneration import (
-    AmbientInsertion,
-    ShriekInsertion,
-    closed_form_oracle,
-    comparison_rhs,
-    enumerate_terms,
-    rc_lift,
-    solve_relative,
-    table_oracle,
-    testbed_cut as named_testbed,
-)
+from gwcalc import battery, ring
+from gwcalc.degeneration import comparison_rhs, testbed_cut as named_testbed
 from gwcalc.errors import HypothesisViolated
 from gwcalc.partitions import (
     InvariantKey,
     Ordering,
     WeightedPair,
-    deg,
     key_compare,
-    total_weight,
     weighted_partition,
 )
 from gwcalc.quantum import (
     gw_invariant,
     quantum_lift,
-    rc_certificate,
     rim_hook_product,
     star,
     wdvv_nd,
@@ -61,6 +48,7 @@ P1 = ring.projective_space(1)
 P2 = ring.projective_space(2)
 G24 = ring.grassmannian(2, 4)
 G13 = ring.grassmannian(1, 3)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _report(number: int, description: str, failures: list) -> None:
@@ -69,36 +57,18 @@ def _report(number: int, description: str, failures: list) -> None:
     assert not failures, f"criterion {number}: {failures[:5]}"
 
 
+def _section(number: int, description: str, section: dict) -> None:
+    """A battery section passes as one criterion; on failure the whole
+    section is shown."""
+    _report(number, description, [] if section["ok"] else [section])
+
+
 def test_criterion_1_two_point_table():
-    failures = []
-    for s in range(1, 7):
-        for d in range(1, 7):
-            expected = Fraction(1, math.factorial(s)) if d == s else Fraction(0)
-            if fiber_two_point(s, d, ring.unit(PT), ring.unit(PT)) != expected:
-                failures.append((s, d))
-    _report(1, "ramified two-point table on the line", failures)
+    _section(1, "ramified two-point table on the line", battery.two_point_table())
 
 
 def test_criterion_2_line_degeneration_identity():
-    failures = []
-    cut = named_testbed("p1-pt")
-    x = cut.divisor.ambient
-    z = cut.divisor.divisor
-    oracle = closed_form_oracle(cut)
-    for m in range(2, 7):
-        insertions = [AmbientInsertion(ring.point_class(x))] * (m - 1)
-        insertions.append(ShriekInsertion(ring.unit(z)))
-        enum = enumerate_terms(cut, 1, insertions, oracle)
-        absolute = gw_invariant(x, 1, [ring.point_class(x)] * m)
-        ok = (
-            len(enum.terms) == 1
-            and enum.terms[0].delta == 1
-            and enum.terms[0].value == 1
-            and enum.total == absolute == 1
-        )
-        if not ok:
-            failures.append((m, enum.total, [t.to_json() for t in enum.terms]))
-    _report(2, "line degeneration identity, 2..6 points", failures)
+    _section(2, "line degeneration identity, 2..6 points", battery.line_identity())
 
 
 def _partitions_of_weight(space, s):
@@ -251,79 +221,14 @@ def test_criterion_6_partial_order_axioms():
     _report(6, "partial order axioms by brute enumeration", failures)
 
 
-def _beta_families(z, max_size):
-    pool = [ring.basis_element(z, bc.index) for bc in ring.basis(z)]
-    for size in range(1, max_size + 1):
-        yield from combinations_with_replacement(pool, size)
-
-
 def test_criterion_7_comparison_round_trip():
-    failures = []
-    for name in ("p1-pt", "p2-line"):
-        cut = named_testbed(name)
-        z = cut.divisor.divisor
-        x = cut.divisor.ambient
-        pt_x = ring.point_class(x)
-        for betas in _beta_families(z, 3):
-            l = len(betas)
-            for alphas in ((), (pt_x,), (pt_x, pt_x)):
-                for degree in range(l, l + 2):
-                    # The lattice solver needs the full tangency weight, so run
-                    # at degrees with weight >= family size; hypothesis
-                    # enforcement is lifted to exercise the formal identity.
-                    table = solve_relative(
-                        cut, degree, alphas, betas, require_hypothesis=False
-                    )
-                    rhs, terms = comparison_rhs(
-                        cut,
-                        degree,
-                        alphas,
-                        betas,
-                        table_oracle(table),
-                        require_hypothesis=False,
-                    )
-                    lhs = gw_invariant(
-                        x,
-                        degree,
-                        tuple(alphas)
-                        + tuple(
-                            ring.shriek_pushforward(cut.divisor, b) for b in betas
-                        ),
-                    )
-                    if rhs != lhs:
-                        failures.append((name, betas, alphas, degree, lhs, rhs))
-                    pairwise_zero = l >= 2 and all(
-                        ring.cup(betas[i], betas[j]).is_zero()
-                        for i in range(l)
-                        for j in range(i + 1, l)
-                    )
-                    if pairwise_zero and len(terms) != 1:
-                        failures.append((name, betas, "corollary", len(terms)))
-                    if pairwise_zero and terms:
-                        mu = terms[0][0]
-                        expected_deg = sum(b.homogeneous_degree() for b in betas)
-                        if not (
-                            total_weight(mu) == degree * 1
-                            and deg(mu) == expected_deg
-                            and len(mu.pairs) == degree
-                        ):
-                            failures.append((name, betas, "corollary-shape"))
-    _report(7, "lattice round trip and single-term collapse", failures)
+    _section(7, "lattice round trip and single-term collapse", battery.round_trips())
 
 
 def test_criterion_8_rational_connectedness():
-    failures = []
-    cut = named_testbed("p2-line")
-    direct = gw_invariant(P2, 1, [ring.point_class(P2)] * 2)
-    for k in (1, 2):
-        result = rc_lift(cut, 1, (), k, ())
-        if result.value == 0 or result.value != direct:
-            failures.append(("lift", k, result.value))
-    for space, k in ((P1, 2), (P2, 2), (G24, 3)):
-        witness = rc_certificate(space, k, 2)
-        if witness is None or witness.value == 0:
-            failures.append(("certificate", str(space), k))
-    _report(8, "witness lift and point-certificate search", failures)
+    _section(
+        8, "witness lift and point-certificate search", battery.lifts_and_certificates()
+    )
 
 
 def test_criterion_9_hypothesis_enforcement():
@@ -345,9 +250,19 @@ def test_criterion_9_hypothesis_enforcement():
 
 
 def test_verification_battery_all_ok():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verifications.py"
+    # `gw verify battery` in a fresh process prints exactly the stored
+    # report and exits 0; tests/data/battery_report.json keeps the battery
+    # from quietly shrinking.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", "-m", "gwcalc.cli", "verify", "battery"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["all_ok"] is True
+    report = json.loads(proc.stdout)
+    assert report["all_ok"] is True
+    stored = ROOT / "tests" / "data" / "battery_report.json"
+    assert report == json.loads(stored.read_text())

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gwcalc import degeneration
 from gwcalc.cli import main
 from gwcalc.quantum import wdvv_nd
 
@@ -22,9 +23,9 @@ def run(capsys, argv):
 
 
 def test_nd_table(capsys):
-    code, out, _ = run(capsys, ["nd", "--max", "3"])
+    code, out, _ = run(capsys, ["nd", "--max", "5"])
     assert code == 0
-    assert json.loads(out) == {"1": "1", "2": "1", "3": "12"}
+    assert json.loads(out) == {"1": "1", "2": "1", "3": "12", "4": "620", "5": "87304"}
 
 
 def test_nd_beyond_int_text_limit():
@@ -393,6 +394,60 @@ def test_verify_empty_battery(capsys):
         assert code == 1
         assert out == ""
         assert "--max-degree must be at least 1" in err
+
+
+def _plant_off_by_one(monkeypatch, name, wrap):
+    real = getattr(degeneration, name)
+    monkeypatch.setattr(degeneration, name, lambda *a, **k: wrap(real(*a, **k)))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ["--testbed", "p1-pt", "--points", "3"],
+        ["--testbed", "p2-line", "--max-degree", "1"],
+        ["--testbed", "p2-line", "--alphas", "pt,pt", "--betas", "1"],
+    ],
+)
+def test_verify_false_identity_exits_nonzero(capsys, monkeypatch, shape):
+    _plant_off_by_one(
+        monkeypatch,
+        "verify_comparison",
+        lambda r: degeneration.ComparisonReport(
+            r.status, r.lhs, r.lhs + 1, False, r.terms, r.detail
+        ),
+    )
+    code, out, _ = run(capsys, ["verify", "comparison", *shape])
+    assert code == 4
+    assert json.loads(out)["equal"] is False
+
+
+def test_verify_battery_with_false_identity_exits_nonzero(capsys, monkeypatch):
+    _plant_off_by_one(monkeypatch, "comparison_rhs", lambda r: (r[0] + 1, r[1]))
+    code, out, _ = run(capsys, ["verify", "battery"])
+    report = json.loads(out)
+    assert code == 4
+    assert report["all_ok"] is False
+    assert [r["failures"] for r in report["round_trips"]["testbeds"]] == [18, 54]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["comparison", "--testbed", "p1-pt", "--max-degree", "0"], "--max-degree"),
+        (["comparison", "--testbed", "p1-pt", "--degree", "5"], "--degree"),
+        (["comparison", "--testbed", "p2-line", "--points", "9"], "--points"),
+        (["comparison", "--testbed", "p2-line", "--alphas", ""], "--alphas"),
+        (["comparison", "--testbed", "p2-line", "--betas", "1", "--points", "3"], "--points"),
+        (["battery", "--testbed", "p1-pt"], "--testbed"),
+        (["battery", "--verbose"], "--verbose"),
+        (["comparison", "--points", "3"], "--testbed"),
+    ],
+)
+def test_verify_refuses_unread_flags(capsys, argv, flag):
+    code, out, err = run(capsys, ["verify", *argv])
+    assert (code, out) == (1, "")
+    assert flag in err
 
 
 def test_rc_empty_search_range(capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gwcalc import quantum, ring
+from gwcalc.cli import main
 from gwcalc.errors import UnsupportedQuery
 from gwcalc.quantum import (
     chern_generator,
@@ -328,23 +329,35 @@ def test_quantum_associativity_and_commutativity(k, n):
                 assert star(ab, c) == star(a, star(b, c))
 
 
-def test_quantum_tables_script():
-    script = ROOT / "scripts" / "quantum_tables.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--space", "gr:2:4", "--nd-max", "5"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    payload = json.loads(proc.stdout)
-    assert payload["space"] == "gr:2:4"
-    assert payload["plane_curve_counts"] == {
-        "1": "1", "2": "1", "3": "12", "4": "620", "5": "87304"
-    }
-    products = payload["quantum_products"]
+def _cli_json(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    return json.loads(captured.out), captured.err.strip()
+
+
+def test_ring_quantum_table_grassmannian(capsys):
+    products, summary = _cli_json(capsys, ["ring", "--space", "gr:2:4", "--quantum"])
+    assert summary == "quantum products on gr:2:4"
     assert products["s1 * s1"] == {"s2": "1", "s11": "1"}
     assert products["s1 * s21"] == {"s22": "1", "q^1*1": "1"}
     assert products["s22 * s22"] == {"q^2*1": "1"}
+
+
+@pytest.mark.parametrize(
+    "space, n", [("pt", 0), ("pn:1", 1), ("pn:2", 2), ("pn:3", 3), ("pn:4", 4)]
+)
+def test_ring_quantum_table_projective(capsys, space, n):
+    # h^a * h^b = q^((a+b) div (n+1)) h^((a+b) mod (n+1)) on P^n; the point
+    # is n = 0, with the single product 1 * 1 = 1.
+    products, _ = _cli_json(capsys, ["ring", "--space", space, "--quantum"])
+    label = ["1", "h"] + [f"h^{i}" for i in range(2, n + 1)]
+    expected = {}
+    for a, b in combinations_with_replacement(range(n + 1), 2):
+        power, rest = divmod(a + b, n + 1)
+        expected[f"{label[a]} * {label[b]}"] = {
+            (f"q^{power}*" if power else "") + label[rest]: "1"
+        }
+    assert products == expected
 
 
 def test_grassmannian_point_power_formula():
