@@ -3,13 +3,16 @@
 Machine-readable JSON goes to stdout; a one-line human summary goes to
 stderr.  Exit codes: 0 for ok or a vanishing result, 1 for usage or
 parse errors, 2 for unsupported queries, 3 for violated hypotheses, 4 when
-`gw verify` finds a checked identity false.
+`gw verify` finds a checked identity false; a stdout closed early (`gw ... |
+head`) leaves the exit code as it was.  `gw ring` takes at most one of --cup,
+--dual and --quantum; `gw solve` takes only `relative`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -67,7 +70,13 @@ def _report_json(report: degeneration.ComparisonReport, include_terms: bool) -> 
 
 
 def _emit(payload: dict, summary: str) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    try:
+        print(json.dumps(payload, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # Closed by its reader: send the rest, and the flush at exit, to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     print(summary, file=sys.stderr)
 
 
@@ -146,39 +155,34 @@ def _cmd_nd(args) -> int:
 
 def _cmd_ring(args) -> int:
     space = ring.make_space(args.space)
-    if args.cup:
+    if args.cup is not None:
         labels = args.cup.split(",")
         if len(labels) != 2:
             raise ValueError(f"--cup expects two class labels '<a>,<b>', got {args.cup!r}")
         a_text, b_text = labels
         product = ring.cup(ring.by_label(space, a_text), ring.by_label(space, b_text))
-        _emit(
-            {"status": "ok", "value": ring.element_to_json(product)},
-            f"{a_text} cup {b_text} = {product}",
-        )
-        return EXIT_OK
-    if args.dual:
+        payload = {"status": "ok", "value": ring.element_to_json(product)}
+        summary = f"{a_text} cup {b_text} = {product}"
+    elif args.dual:
         duals = ring.dual_basis(space)
-        table = {bc.label: duals[bc.index].label for bc in ring.basis(space)}
-        _emit(table, f"dual basis of {space}")
-        return EXIT_OK
-    if args.quantum:
+        payload = {bc.label: duals[bc.index].label for bc in ring.basis(space)}
+        summary = f"dual basis of {space}"
+    elif args.quantum:
         parts = ring.rectangle_partitions(*space.box)
         labels = [bc.label for bc in ring.basis(space)]
-        table = {}
+        payload = {}
         for i, j in combinations_with_replacement(range(len(parts)), 2):
             product = quantum.rim_hook_product(parts[i], parts[j], space)
-            table[f"{labels[i]} * {labels[j]}"] = {
+            payload[f"{labels[i]} * {labels[j]}"] = {
                 (f"q^{power}*" if power else "") + labels[idx]: _exact(coeff)
                 for power, elem in product.terms
                 for idx, coeff in elem.coeffs
             }
-        _emit(table, f"quantum products on {space}")
-        return EXIT_OK
-    listing = {
-        bc.label: bc.real_degree for bc in ring.basis(space)
-    }
-    _emit(listing, f"basis of {space} with real degrees")
+        summary = f"quantum products on {space}"
+    else:
+        payload = {bc.label: bc.real_degree for bc in ring.basis(space)}
+        summary = f"basis of {space} with real degrees"
+    _emit(payload, summary)
     return EXIT_OK
 
 
@@ -236,48 +240,43 @@ def _verdict(reports) -> int:
 
 def _cmd_verify(args) -> int:
     if args.what == "battery":
-        _refuse_unread(args, "battery")
+        shape, reads = "battery", ()
+    elif not hasattr(args, "testbed"):
+        raise ValueError("verify comparison needs --testbed")
+    elif getattr(args, "alphas", "") or getattr(args, "betas", ""):
+        shape = "comparison --alphas/--betas"
+        reads = ("testbed", "degree", "alphas", "betas", "verbose")
+    elif args.testbed == "p1-pt":
+        shape, reads = "comparison on p1-pt", ("testbed", "points", "verbose")
+    else:
+        shape, reads = "comparison on p2-line", ("testbed", "max_degree", "verbose")
+    _refuse_unread(args, shape, *reads)
+    if shape == "battery":
         report = battery.report()
         _emit(report, f"verification battery: all_ok={report['all_ok']}")
         return EXIT_OK if report["all_ok"] else EXIT_UNEQUAL
-    if not hasattr(args, "testbed"):
-        raise ValueError("verify comparison needs --testbed")
     cut = degeneration.testbed_cut(args.testbed)
     z = cut.divisor.divisor
+    x = cut.divisor.ambient
     verbose = getattr(args, "verbose", False)
-    if getattr(args, "alphas", "") or getattr(args, "betas", ""):
-        _refuse_unread(
-            args, "comparison --alphas/--betas",
-            "testbed", "degree", "alphas", "betas", "verbose",
-        )
-        x = cut.divisor.ambient
+    if shape == "comparison --alphas/--betas":
         alphas = _parse_insertions(x, getattr(args, "alphas", ""))
         betas = _parse_insertions(z, getattr(args, "betas", ""))
         degree = getattr(args, "degree", 1)
         report = degeneration.verify_comparison(cut, degree, alphas, betas)
         payload = _report_json(report, verbose)
-        summary = f"lhs={payload['lhs']} rhs={payload['rhs']} equal={report.equal}"
-        _emit(payload, summary)
+        _emit(payload, f"lhs={payload['lhs']} rhs={payload['rhs']} equal={report.equal}")
         return _verdict([report])
-    if args.testbed == "p1-pt":
-        _refuse_unread(args, "comparison on p1-pt", "testbed", "points", "verbose")
+    if shape == "comparison on p1-pt":
         m = getattr(args, "points", 3)
         if m < 2:
             raise ValueError("--points must be at least 2")
-        x = cut.divisor.ambient
         alphas = [ring.point_class(x)] * (m - 1)
-        betas = [ring.unit(z)]
-        report = degeneration.verify_comparison(cut, 1, alphas, betas)
-        payload = {
-            "equal": report.equal,
-            "lhs": _exact(report.lhs),
-            "rhs": _exact(report.rhs),
-        }
-        if verbose:
-            payload["terms"] = _report_json(report, True)["terms"]
+        report = degeneration.verify_comparison(cut, 1, alphas, [ring.unit(z)])
+        payload = _report_json(report, verbose)
+        del payload["status"]
         _emit(payload, f"{m}-point identity on the line: equal={report.equal}")
         return _verdict([report])
-    _refuse_unread(args, "comparison on p2-line", "testbed", "max_degree", "verbose")
     max_degree = getattr(args, "max_degree", 1)
     if max_degree < 1:
         raise ValueError("--max-degree must be at least 1")
@@ -296,8 +295,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.what != "relative":
-        raise ValueError("only 'relative' solving is available")
     cut = degeneration.testbed_cut(args.testbed)
     z = cut.divisor.divisor
     x = cut.divisor.ambient
@@ -366,9 +363,10 @@ def build_parser() -> _Parser:
 
     p_ring = sub.add_parser("ring", help="basis, cup products, duals")
     p_ring.add_argument("--space", required=True)
-    p_ring.add_argument("--cup", default="")
-    p_ring.add_argument("--dual", action="store_true")
-    p_ring.add_argument("--quantum", action="store_true")
+    mode = p_ring.add_mutually_exclusive_group()
+    mode.add_argument("--cup")
+    mode.add_argument("--dual", action="store_true")
+    mode.add_argument("--quantum", action="store_true")
     p_ring.set_defaults(fn=_cmd_ring)
 
     p_rel = sub.add_parser("rel", help="relative invariant of a bundle")
@@ -391,7 +389,7 @@ def build_parser() -> _Parser:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_solve = sub.add_parser("solve", help="solve for relative invariants")
-    p_solve.add_argument("what")
+    p_solve.add_argument("what", choices=("relative",))
     p_solve.add_argument("--testbed", required=True)
     p_solve.add_argument("--degree", type=_int_option, default=1)
     p_solve.add_argument("--alphas", default="")

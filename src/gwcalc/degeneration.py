@@ -317,7 +317,8 @@ def solve_relative(
     invariants over all coarsenings of P.  The system is unitriangular under
     refinement, so peeling from the coarsest partition downward isolates
     each unknown exactly.  Distinct partitions can index the same weighted
-    partition; their solved values must then agree, which is asserted.
+    partition; their solved values must then agree, else AssertionError is
+    raised.
     """
     alphas = tuple(alphas)
     betas = tuple(betas)
@@ -353,15 +354,15 @@ def solve_relative(
                 )
                 coarser_sum += solved.get(merged, 0)
         solved[blocks] = lhs - coarser_sum
-        if mu in table:
-            # Deliberately still an assert: perfbench/golden.json stores this
-            # failure as "failed:AssertionError" in lattice_inversion, so a
-            # typed error has to come with a new golden file.
-            assert table[mu] == solved[blocks], (
+        if mu not in table:
+            table[mu] = solved[blocks]
+        elif table[mu] != solved[blocks]:
+            # An AssertionError, not a typed error: perfbench/golden.json
+            # stores this failure as "failed:AssertionError" in
+            # lattice_inversion, so a typed error needs a new golden file.
+            raise AssertionError(
                 f"inconsistent relative value for {partition_to_text(mu)}"
             )
-        else:
-            table[mu] = solved[blocks]
     return table
 
 
@@ -592,8 +593,11 @@ def rc_lift(
     the ambient space.
 
     The divisor witness (restricted ambient classes, k point insertions,
-    extra divisor classes) is first padded with degree-2 classes until it
-    has exactly one insertion more than the tangency weight.  The matching
+    extra divisor classes) is first padded with degree-2 classes until the
+    points and extra classes number exactly one more than the tangency
+    weight.  Only those raise their real degree, by 2 each, on the way to the
+    ambient space, whose moduli space is 2 * weight + 2 larger; a restricted
+    class keeps the degree of its ambient class.  The matching
     ambient query usually is already nonzero; if it vanishes, the relative
     invariants recovered from the comparison identity contain a minimal
     nonzero term, and transferring its weights gives the ambient witness.
@@ -615,7 +619,7 @@ def rc_lift(
     r = len(alphas) + k_points + len(betas)
     if r > v + 1:
         raise Inapplicable(f"witness has {r} insertions, more than V+1 = {v + 1}")
-    betas += [generator_class(z)] * (weight + 1 - r)
+    betas += [generator_class(z)] * (weight + 1 - k_points - len(betas))
     restricted = [restrict(divisor, a) for a in alphas]
     z_insertions = restricted + [point_class(z)] * k_points + betas
     witness_value = gw_invariant(z, degree, z_insertions)

@@ -226,6 +226,64 @@ def test_cup_with_more_than_two_labels_names_the_flag(capsys, text):
     assert f"--cup expects two class labels '<a>,<b>', got {text!r}" in err
 
 
+def test_empty_cup_names_the_flag(capsys):
+    code, out, err = run(capsys, ["ring", "--space", "gr:2:4", "--cup", ""])
+    assert (code, out) == (1, "")
+    assert "--cup expects two class labels '<a>,<b>', got ''" in err
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--cup", "s1,s1", "--dual"],
+        ["--cup", "s1,s1", "--quantum"],
+        ["--dual", "--quantum"],
+        ["--quantum", "--cup", "s1,s1"],
+        ["--dual", "--cup", ""],
+        ["--quantum", "--dual", "--cup", "s1,s1"],
+    ],
+)
+def test_ring_modes_are_exclusive(capsys, modes):
+    code, out, err = run(capsys, ["ring", "--space", "gr:2:4", *modes])
+    assert (code, out) == (1, "")
+    first, second = [m for m in modes if m.startswith("--")][:2]
+    assert f"argument {second}: not allowed with argument {first}" in err
+
+
+def test_solve_takes_only_relative(capsys):
+    argv = ["solve", "absolute", "--testbed", "p1-pt", "--betas", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'absolute'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["ring", "--space", "gr:2:4", "--quantum"], 0),
+        (["abs", "--space", "gr:2:4", "--degree", "1", "--insertions", "s2,s2,s2,s2,s2"], 2),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, expected):
+    # The reader of stdout is gone before the command writes (`gw ... | head`).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwcalc.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "text, detail",
     [

@@ -1,8 +1,12 @@
 """Degeneration tests: comparison partitions, the lattice solver and its
 round trip, term enumeration with pruning, and the witness lift."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +40,7 @@ from gwcalc.partitions import (
 from gwcalc.quantum import gw_invariant
 from gwcalc.relative import fiber_vanishing
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 P1_CUT = named_testbed("p1-pt")
 P2_CUT = named_testbed("p2-line")
 
@@ -195,7 +200,6 @@ def test_comparison_rhs_reuses_the_solver_walk(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.skipif(not __debug__, reason="python -O strips the solver's assert")
 def test_failed_solve_builds_only_what_it_read(monkeypatch):
     # Outside the hypothesis, two set partitions with one weighted partition
     # solve to different values early in the walk; the solver stops there,
@@ -211,6 +215,28 @@ def test_failed_solve_builds_only_what_it_read(monkeypatch):
     expected = _reference_partitions(z, betas, 3)
     assert len(expected) == 365
     assert comparison_partitions(z, betas, 3) == expected
+
+
+def test_inconsistent_solve_raises_under_optimisation():
+    # The consistency check is an explicit raise, so `python -O` refuses the
+    # inconsistent system too instead of returning one of the two values.
+    script = (
+        "from gwcalc import degeneration, ring\n"
+        "cut = degeneration.testbed_cut('p2-line')\n"
+        "alphas = [ring.point_class(cut.divisor.ambient)] * 8\n"
+        "betas = [ring.unit(cut.divisor.divisor)] * 2\n"
+        "print(degeneration.solve_relative(cut, 3, alphas, betas, False))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == ""
+    assert "AssertionError: inconsistent relative value for" in proc.stderr
 
 
 def test_solver_table_is_fresh_per_call():
@@ -523,6 +549,17 @@ def test_rc_lift_direct_witness():
         assert result.value == gw_invariant(
             x, 1, [ring.point_class(x), ring.point_class(x)]
         )
+
+
+def test_rc_lift_pads_for_ambient_classes():
+    # The hyperplane class keeps its degree on the plane, so the witness
+    # <h|_Z, pt, pt>_1 on the line lifts to <h, pt, pt>_1 = 1 on the plane.
+    x = P2_CUT.divisor.ambient
+    h = ring.by_label(x, "h")
+    result = rc_lift(P2_CUT, 1, (h,), 1, ())
+    assert result.stage == "direct"
+    assert result.value == 1
+    assert result.query.insertions == (h, ring.point_class(x), ring.point_class(x))
 
 
 def test_rc_lift_rejects_zero_witness():

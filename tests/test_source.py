@@ -12,10 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gwcalc"
 SPANS = ROOT / "perfbench" / "spans.py"
 
-# solve_relative keeps its assert: perfbench/golden.json stores that failure
-# as "failed:AssertionError" for the lattice_inversion workload.
-ALLOWED = {("degeneration.py", "solve_relative")}
-
 
 def _asserts(path):
     """(enclosing function name, line) of every assert statement in a file."""
@@ -36,11 +32,7 @@ def _asserts(path):
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_runtime_asserts(path):
-    stray = [
-        f"{path.name}:{line} in {func}"
-        for func, line in _asserts(path)
-        if (path.name, func) not in ALLOWED
-    ]
+    stray = [f"{path.name}:{line} in {func}" for func, line in _asserts(path)]
     assert not stray, "assert statements vanish under python -O: " + ", ".join(stray)
 
 
