@@ -19,10 +19,8 @@ from itertools import product as _cartesian
 
 from .errors import HypothesisViolated, Inapplicable, UnsupportedQuery
 from .partitions import (
-    InvariantKey,
     WeightedPartition,
     delta_factor,
-    order_key,
     partition_to_text,
     weighted_pair,
     weighted_partition,
@@ -390,13 +388,7 @@ class ComparisonReport(Value):
     detail: str = ""
 
 
-def verify_comparison(
-    cut: CutSpec,
-    degree: int,
-    alphas,
-    betas,
-    require_hypothesis: bool = True,
-) -> ComparisonReport:
+def verify_comparison(cut: CutSpec, degree: int, alphas, betas) -> ComparisonReport:
     """Compute both sides of the comparison identity and report equality,
     taking relative values from the closed form for a point divisor and
     from the lattice solver otherwise."""
@@ -412,13 +404,9 @@ def verify_comparison(
     if cut.divisor.divisor.kind == POINT:
         oracle = closed_form_oracle(cut)
     else:
-        oracle = table_oracle(
-            solve_relative(cut, degree, alphas, betas, require_hypothesis)
-        )
+        oracle = table_oracle(solve_relative(cut, degree, alphas, betas))
     try:
-        rhs, terms = comparison_rhs(
-            cut, degree, alphas, betas, oracle, require_hypothesis
-        )
+        rhs, terms = comparison_rhs(cut, degree, alphas, betas, oracle)
     except UnsupportedQuery as exc:
         return ComparisonReport("unsupported", lhs, None, None, (), str(exc))
     return ComparisonReport("ok", lhs, rhs, lhs == rhs, tuple(terms))
@@ -577,6 +565,7 @@ def enumerate_terms(
 
 
 class LiftResult(Value):
+    # Always "direct"; kept because `gw lift` and the battery print it.
     stage: str
     query: AbsoluteQuery
     value: Fraction
@@ -597,10 +586,14 @@ def rc_lift(
     points and extra classes number exactly one more than the tangency
     weight.  Only those raise their real degree, by 2 each, on the way to the
     ambient space, whose moduli space is 2 * weight + 2 larger; a restricted
-    class keeps the degree of its ambient class.  The matching
-    ambient query usually is already nonzero; if it vanishes, the relative
-    invariants recovered from the comparison identity contain a minimal
-    nonzero term, and transferring its weights gives the ambient witness.
+    class keeps the degree of its ambient class.  The lift is the matching
+    ambient query, and a vanishing one is refused with ``Inapplicable``.
+
+    On the divisors the engine builds, the hyperplanes P^(n-1) in P^n, the
+    ambient query has the witness's value: V = 1 forces degree 1, so after
+    padding exactly two classes are transferred, and a line meeting the
+    hyperplane in two distinct points lies in it.  Only a hand-built
+    descriptor reaches the refusal.
     """
     if k_points < 0:
         raise ValueError("k_points must be nonnegative")
@@ -631,28 +624,9 @@ def rc_lift(
         + tuple(shriek_pushforward(divisor, b) for b in betas)
     )
     direct = gw_invariant(x, degree, x_insertions)
-    if direct != 0:
-        return LiftResult("direct", AbsoluteQuery(x, degree, x_insertions), direct)
-    family = [point_class(z)] * k_points + betas
-    table = solve_relative(cut, degree, alphas, family, require_hypothesis=False)
-    nonzero = {mu: val for mu, val in table.items() if val != 0}
-    if not nonzero:
-        raise Inapplicable("no nonzero relative invariant in the expansion")
-    mu0 = _minimal_partition(degree, alphas, list(nonzero))
-    final = alphas + tuple(
-        shriek_pushforward(divisor, p.weight) for p in mu0.pairs
-    )
-    return LiftResult(
-        "relative-minimal", AbsoluteQuery(x, degree, final), nonzero[mu0]
-    )
-
-
-def _minimal_partition(degree: int, alphas, candidates: list[WeightedPartition]):
-    keys = [order_key(InvariantKey(degree, tuple(alphas), mu)) for mu in candidates]
-    least = min(keys, default=None)
-    minimal = [mu for mu, key in zip(candidates, keys) if key == least]
-    if len(minimal) != 1:
+    if direct == 0:
         raise Inapplicable(
-            f"no unique minimal relative term among {len(candidates)} candidates"
+            f"the ambient query <{', '.join(map(str, x_insertions))}>_{degree} "
+            f"on {x} vanishes although the divisor witness does not"
         )
-    return minimal[0]
+    return LiftResult("direct", AbsoluteQuery(x, degree, x_insertions), direct)

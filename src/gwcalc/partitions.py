@@ -4,7 +4,8 @@ A weighted partition is a multiset of (multiplicity, class) pairs over a
 divisor's cohomology; it records tangency orders together with the classes
 constraining the contact points.  This module supplies the size and
 lexicographic comparisons, automorphism counts, the gluing factor, and the
-order on invariant keys used to pick minimal terms, as one sort key.
+paper's order on invariant keys as one sort key; no computation in the
+package reads that order, and the tests check it directly.
 
 The constructors hand out one shared object per value, as ``ring.element``
 does: ``weighted_pair`` keeps one pair per (multiplicity, weight) and

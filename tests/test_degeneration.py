@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -27,13 +27,11 @@ from gwcalc.degeneration import (
     table_oracle,
     testbed_cut as named_testbed,
     verify_comparison,
-    _minimal_partition,
 )
-from gwcalc.errors import HypothesisViolated, Inapplicable
+from gwcalc.errors import HypothesisViolated, Inapplicable, UnsupportedQuery
 from gwcalc.partitions import (
     WeightedPair,
     deg,
-    pairs_of,
     total_weight,
     weighted_partition,
 )
@@ -395,6 +393,93 @@ def test_comparison_round_trip_property(query):
     assert (report.status, report.lhs, report.equal) == ("ok", lhs, True)
 
 
+def _raised(x, beta):
+    """The transfer of a class of P^(n-1) into P^n, written out: h^i goes to
+    h^(i+1), independently of the divisor's transfer table."""
+    return sum(
+        (c * ring.basis_element(x, i + 1) for i, c in beta.terms()), ring.zero(x)
+    )
+
+
+def _basis_families(space, max_size):
+    pool = [ring.basis_element(space, bc.index) for bc in ring.basis(space)]
+    for size in range(max_size + 1):
+        yield from combinations_with_replacement(pool, size)
+
+
+def _hyperplane_queries(x, z, max_transfers, max_alphas):
+    """Dimension-matched (degree, alphas, betas) on P^(n-1) in P^n, degrees
+    1-3, with at most ``max_transfers(degree)`` transferred basis classes."""
+    for degree in range(1, 4):
+        for betas in _beta_families(z, max_transfers(degree)):
+            for alphas in _basis_families(x, max_alphas):
+                classes = alphas + tuple(_raised(x, b) for b in betas)
+                real = sum(c.homogeneous_degree() for c in classes)
+                if real == quantum.virtual_dimension(x, degree, len(classes)):
+                    yield degree, alphas, betas
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hyperplane_round_trip(n):
+    """Formal round trips on P^(n-1) in P^n with no more transfers than the
+    tangency weight re-sum to the absolute value of the written-out
+    transfers."""
+    cut = make_cut(ring.hyperplane_divisor(n))
+    x, z = cut.divisor.ambient, cut.divisor.divisor
+    nonzero = 0
+    for degree, alphas, betas in _hyperplane_queries(x, z, lambda d: d, 4):
+        try:
+            lhs = gw_invariant(x, degree, alphas + tuple(_raised(x, b) for b in betas))
+            table = solve_relative(cut, degree, alphas, betas, require_hypothesis=False)
+            rhs, _ = comparison_rhs(
+                cut, degree, alphas, betas, table_oracle(table), require_hypothesis=False
+            )
+        except UnsupportedQuery:
+            continue
+        assert rhs == lhs, (n, degree, alphas, betas)
+        nonzero += lhs != 0
+    assert nonzero
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hyperplane_verify_comparison_one_transfer(n):
+    """Inside the hypothesis on P^(n-1) in P^n, both sides agree and equal
+    the absolute value of the written-out transfer."""
+    cut = make_cut(ring.hyperplane_divisor(n))
+    x, z = cut.divisor.ambient, cut.divisor.divisor
+    nonzero = 0
+    for degree, alphas, betas in _hyperplane_queries(x, z, lambda d: 1, 3):
+        report = verify_comparison(cut, degree, alphas, betas)
+        if report.status == "unsupported":
+            continue
+        lhs = gw_invariant(x, degree, alphas + (_raised(x, betas[0]),))
+        assert (report.status, report.lhs, report.equal) == ("ok", lhs, True)
+        nonzero += lhs != 0
+    assert nonzero
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="formal mode reads no equation of a partition into more blocks "
+    "than the weight, so this round trip gives rhs 0 against lhs 1 and "
+    "raises nothing",
+)
+def test_formal_round_trip_past_the_weight():
+    pt = ring.point_class(P2_CUT.divisor.divisor)
+    betas = (pt, pt)
+    lhs = gw_invariant(
+        P2_CUT.divisor.ambient,
+        1,
+        tuple(ring.shriek_pushforward(P2_CUT.divisor, b) for b in betas),
+    )
+    table = solve_relative(P2_CUT, 1, (), betas, require_hypothesis=False)
+    rhs, _ = comparison_rhs(
+        P2_CUT, 1, (), betas, table_oracle(table), require_hypothesis=False
+    )
+    assert rhs == lhs
+
+
 def test_solver_single_beta_is_direct():
     z = P2_CUT.divisor.divisor
     x = P2_CUT.divisor.ambient
@@ -466,20 +551,19 @@ def test_verify_comparison_plane_line():
 
 
 def test_verify_comparison_unsupported_is_reported():
-    g = ring.grassmannian(2, 4)
-    # A cut of the plane cannot absorb Grassmannian classes; simulate an
-    # unsupported absolute query via too many transfers at high degree.
-    x = P2_CUT.divisor.ambient
-    z = P2_CUT.divisor.divisor
-    pt_z = ring.point_class(z)
-    report = verify_comparison(
-        P2_CUT,
-        2,
-        [ring.point_class(x)] * 2,
-        [pt_z, pt_z, pt_z],
-        require_hypothesis=False,
+    # Inside the hypothesis (one transfer, V = 1) on P^2 in P^3, four h^2
+    # insertions are more than the absolute oracle reduces on P^3.
+    cut = make_cut(ring.hyperplane_divisor(3))
+    h2 = ring.by_label(cut.divisor.ambient, "h^2")
+    report = verify_comparison(cut, 1, (h2,) * 4, (ring.unit(cut.divisor.divisor),))
+    assert (report.status, report.lhs, report.rhs, report.equal, report.terms) == (
+        "unsupported",
+        None,
+        None,
+        None,
+        (),
     )
-    assert report.status in ("ok", "unsupported")
+    assert "more than three non-divisor insertions" in report.detail
 
 
 def test_enumerate_terms_line_identity():
@@ -573,15 +657,51 @@ def test_rc_lift_needs_minimal_class():
         rc_lift(P2_CUT, 2, (), 2, ())
 
 
-def test_minimal_partition_selection():
-    z = P2_CUT.divisor.divisor
-    pt = ring.point_class(z)
-    one = ring.unit(z)
-    heavy = pairs_of(z, [(1, pt), (1, one)])
-    light = pairs_of(z, [(1, one), (1, one)])
-    assert _minimal_partition(1, (), [heavy, light]) == heavy
-    mixed = pairs_of(z, [(1, pt), (1, pt)])
-    assert _minimal_partition(1, (), [mixed, heavy, light]) == mixed
+def test_lift_on_hyperplanes_is_the_divisor_witness():
+    """On P^(n-1) in P^n every lift that passes its preconditions transfers
+    the padded witness directly and has the witness's value; none is
+    refused for a vanishing ambient query."""
+    for n in range(2, 6):
+        cut = make_cut(ring.hyperplane_divisor(n))
+        x, z = cut.divisor.ambient, cut.divisor.divisor
+        lifted = 0
+        for degree, k, alphas, betas in product(
+            (1, 2), range(4), _basis_families(x, 2), _basis_families(z, 2)
+        ):
+            try:
+                result = rc_lift(cut, degree, alphas, k, betas)
+            except (Inapplicable, UnsupportedQuery, ValueError) as exc:
+                assert "vanishes although" not in str(exc), (n, degree, k, alphas, betas)
+                continue
+            padded = betas + (ring.generator_class(z),) * (degree + 1 - k - len(betas))
+            witness = (
+                tuple(ring.restrict(cut.divisor, a) for a in alphas)
+                + (ring.point_class(z),) * k
+                + padded
+            )
+            assert result.stage == "direct"
+            assert result.query.insertions == (
+                alphas + (ring.point_class(x),) * k + tuple(_raised(x, b) for b in padded)
+            )
+            assert result.value == gw_invariant(z, degree, witness) != 0
+            lifted += 1
+        assert lifted, n
+
+
+def test_rc_lift_refuses_a_vanishing_ambient_query():
+    # The line in the plane with an all-zero transfer table: the witness
+    # <pt, h>_1 on the line is 1, but the ambient query <pt, 0>_1 vanishes.
+    d = ring.hyperplane_divisor(2)
+    broken = ring.DivisorDescriptor(
+        ambient=d.ambient,
+        divisor=d.divisor,
+        restriction=d.restriction,
+        transfer=(ring.zero(d.ambient),) * len(d.transfer),
+        divisor_class=d.divisor_class,
+        normal_c1=d.normal_c1,
+    )
+    with pytest.raises(Inapplicable, match="vanishes although the divisor witness"):
+        rc_lift(make_cut(broken), 1, (), 1, ())
 
 
 def test_make_cut_requires_ambient():
