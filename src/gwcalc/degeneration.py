@@ -110,9 +110,6 @@ class ShriekInsertion(Value):
     beta: RingElement
 
 
-SplitInsertion = AmbientInsertion | ShriekInsertion
-
-
 def absolute_insertions(cut: CutSpec, insertions) -> tuple[RingElement, ...]:
     out = []
     for ins in insertions:

@@ -264,6 +264,9 @@ def empty_partition_divisor(
 # ---------------------------------------------------------------------------
 # Positivity thresholds.
 
+# The highest curve degree min_normal_chern searches for a nonzero invariant.
+MIN_CHERN_SEARCH_DEGREE = 3
+
 
 def zero_section_divisor(bundle: BundleSpec) -> DivisorDescriptor:
     """The zero section of P(L + O) as a divisor known only through its
@@ -283,19 +286,20 @@ def zero_section_divisor(bundle: BundleSpec) -> DivisorDescriptor:
     )
 
 
-def min_normal_chern(divisor: DivisorDescriptor, search_bound: int = 3):
+def min_normal_chern(divisor: DivisorDescriptor):
     """Minimal positive pairing of the normal bundle against a curve class of
     the divisor that carries some nonzero genus-zero invariant.
 
-    Returns math.inf when no such class exists within the search bound (for
-    instance a point divisor, which has no curve classes at all).
+    Returns math.inf when no such class exists up to degree
+    MIN_CHERN_SEARCH_DEGREE (for instance a point divisor, which has no curve
+    classes at all).
     """
     z = divisor.divisor
     if z.kind == POINT:
         return math.inf
     nd = normal_degree(divisor)
     best = math.inf
-    for degree in range(1, search_bound + 1):
+    for degree in range(1, MIN_CHERN_SEARCH_DEGREE + 1):
         value = nd * degree
         if value <= 0 or value >= best:
             continue

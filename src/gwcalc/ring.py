@@ -438,24 +438,17 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
     because lru_cache keeps no exceptions."""
     _check_same_space(a, b)
     space = a.space
+    rows, cols = space.box
     acc: dict[int, Fraction] = {}
     for i, ca in a.coeffs:
+        lam = basis_partition(space, i)
         for j, cb in b.coeffs:
-            for idx, mult in _basis_product(space, i, j):
-                acc[idx] = acc.get(idx, Fraction(0)) + ca * cb * mult
+            # The Littlewood-Richardson expansion, cut to the box.
+            for nu, mult in lr_expansion(lam, basis_partition(space, j)):
+                if in_box(nu, rows, cols):
+                    idx = partition_index(space, nu)
+                    acc[idx] = acc.get(idx, Fraction(0)) + ca * cb * mult
     return element(space, acc)
-
-
-@lru_cache(maxsize=None)
-def _basis_product(space: Space, i: int, j: int) -> tuple[tuple[int, int], ...]:
-    """The cup product of two basis classes as (basis index, multiplicity)
-    pairs: the Littlewood-Richardson expansion cut to the box."""
-    rows, cols = space.box
-    return tuple(
-        (partition_index(space, nu), mult)
-        for nu, mult in lr_expansion(basis_partition(space, i), basis_partition(space, j))
-        if in_box(nu, rows, cols)
-    )
 
 
 def cup_all(space: Space, factors) -> RingElement:

@@ -525,6 +525,66 @@ def test_solve_weight_zero(capsys):
     assert "positive tangency weight required with insertions" in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["ring", "--space", "p2"], '{"1": 0, "h": 2, "h^2": 4}\n'),
+        (
+            ["ring", "--space", "gr:2:4", "--dual"],
+            '{"1": "s22", "s1": "s21", "s11": "s11", "s2": "s2", "s21": "s1", "s22": "1"}\n',
+        ),
+        (
+            ["rel", "--bundle", "p1:c1=1", "--class", "1A", "--insertions", "zs:pt,zs:pt"],
+            '{"status": "ok", "value": "1"}\n',
+        ),
+        (
+            ["rel", "--bundle", "p1:c1=1", "--class", "1F", "--partition", "(1,pt)"]
+            + ["--insertions", "pb:1,zs:1"],
+            '{"reason": "fiber-class query outside the single transverse-tangency shape", '
+            '"status": "vanishes", "value": "0"}\n',
+        ),
+        (
+            ["rc", "--space", "pt", "--k", "1", "--max-degree", "1"],
+            '{"k": 1, "max_degree": 1, "status": "none"}\n',
+        ),
+        (
+            ["verify", "comparison", "--testbed", "p1-pt", "--points", "3", "--verbose"],
+            '{"equal": true, "lhs": "1", "rhs": "1", '
+            '"terms": [{"delta": 1, "partition": "(1,1)", "value": "1"}]}\n',
+        ),
+    ],
+    ids=["ring-basis", "ring-dual", "rel-section", "rel-pullback", "rc-none", "verify-verbose"],
+)
+def test_output_shapes_print_fixed_bytes(capsys, argv, expected):
+    assert run(capsys, argv)[:2] == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["rel", "--bundle", "p1:c1=1", "--class", "1F", "--partition", "(1,pt)"]
+            + ["--insertions", "pb:1@tau2,zs:1"],
+            "descendents only attach to zero-section insertions",
+        ),
+        (
+            ["rel", "--bundle", "p1:c1=1", "--class", "1F", "--partition", "(1,pt)"]
+            + ["--insertions", "xs:1"],
+            "relative insertion 'xs:1' needs a zs: or pb: prefix",
+        ),
+        (
+            ["rel", "--bundle", "p1:c1=1", "--class", "1A", "--partition", "(1,pt)"],
+            "section classes only support the empty partition",
+        ),
+    ],
+    ids=["pullback-descendent", "no-prefix", "section-partition"],
+)
+def test_rel_refusals_name_the_form(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_missing_subcommand_exit_code(capsys):
     assert run(capsys, [])[0] == 1
 

@@ -1,5 +1,6 @@
-"""Ring tests: bases, cup products against an independent Pieri oracle,
-pairing nondegeneracy, and the transfer map's projection formula."""
+"""Ring tests: bases, cup products, pairing nondegeneracy, and the transfer
+map's projection formula.  tests/test_schubert_oracles.py checks every cup
+product with n <= 7 against an independent quantum Pieri-Giambelli oracle."""
 
 import gc
 from fractions import Fraction
@@ -8,33 +9,6 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from gwcalc import ring
-
-
-def pieri_multiply(space, parts, r):
-    """Independent oracle: multiply a Schubert class by the r-th special
-    class, adding horizontal strips of size r inside the rectangle."""
-    k, n = space.params
-    cols = n - k
-    padded = list(parts) + [0] * (k - len(parts))
-    results = []
-
-    def grow(row, remaining, acc):
-        if row == k:
-            if remaining == 0:
-                results.append(tuple(p for p in acc if p))
-            return
-        cap = cols if row == 0 else acc[row - 1]
-        floor = padded[row]
-        upper = padded[row - 1] if row > 0 else cols
-        for new in range(floor, min(cap, upper) + 1):
-            if new - floor <= remaining:
-                grow(row + 1, remaining - (new - floor), acc + [new])
-
-    grow(0, r, [])
-    out = ring.zero(space)
-    for nu in results:
-        out = out + ring.basis_element(space, ring.partition_index(space, nu))
-    return out
 
 
 SMALL_GRASSMANNIANS = [ring.grassmannian(2, 4), ring.grassmannian(1, 3), ring.grassmannian(2, 5)]
@@ -123,17 +97,12 @@ def test_cup_grassmannian_example():
     assert ring.cup(s1, s1) == ring.by_label(g, "s2") + ring.by_label(g, "s11")
 
 
-@pytest.mark.parametrize("space", SMALL_GRASSMANNIANS)
-def test_cup_matches_pieri_oracle(space):
-    k, n = space.params
-    for bc in ring.basis(space):
-        lam = ring.basis_partition(space, bc.index)
-        for r in range(1, n - k + 1):
-            via_cup = ring.cup(
-                ring.basis_element(space, bc.index),
-                ring.basis_element(space, ring.partition_index(space, (r,))),
-            )
-            assert via_cup == pieri_multiply(space, lam, r), (lam, r)
+def test_element_str_writes_coefficients_other_than_one():
+    g = ring.grassmannian(3, 6)
+    s21 = ring.by_label(g, "s21")
+    assert str(ring.cup(s21, s21)) == "s33 + 2*s321 + s222"
+    assert str(Fraction(3, 2) * s21 - ring.unit(g)) == "-1*1 + 3/2*s21"
+    assert str(ring.zero(g)) == "0"
 
 
 @pytest.mark.parametrize("space", SMALL_GRASSMANNIANS)
