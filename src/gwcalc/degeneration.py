@@ -129,7 +129,9 @@ def set_partitions(items):
 
     A partition is a tuple of blocks, each a tuple of items in their given
     order, with blocks ordered by their first item; partitions into equally
-    many blocks come in lexicographic order of item positions.
+    many blocks come in lexicographic order of item positions.  Callers rely
+    on the coarsest-first order to stop early: once a partition has too many
+    blocks, so has every later one.
     """
     items = tuple(items)
     # No items have one partition, into no blocks.
@@ -455,6 +457,11 @@ def enumerate_terms(
     number restrict the bundle side to fiber lines in the single
     transverse-tangency shape; everything else is dropped with a reason and
     a representative query whose vanishing can be rechecked.
+
+    The transfers' set partitions are read coarsest first, so the walk stops
+    at the first one with more blocks than the tangency weight: it and every
+    later partition are recorded as dropped straight from the shared
+    partition table, in the order the walk would have reached them.
     """
     insertions = tuple(insertions)
     z_space = cut.divisor.divisor
@@ -498,12 +505,18 @@ def enumerate_terms(
         )
     terms: list[DegenerationTerm] = []
     total = Fraction(0)
-    for blocks in set_partitions(range(len(shrieks))):
+    n = len(shrieks)
+    for blocks in set_partitions(range(n)):
         if len(blocks) > weight:
-            dropped.append(
-                ("more components than the total tangency weight allows", blocks)
+            # Coarsest first: this partition and every later one are over
+            # the weight.
+            reason = "more components than the total tangency weight allows"
+            dropped.extend(
+                (reason, rest)
+                for count in range(len(blocks), n + 1)
+                for rest in _index_partitions(n, count)
             )
-            continue
+            break
         empties = weight - len(blocks)
         # Components with no insertions need a point-class tangency weight.
         choices = [range(len(bas))] * len(blocks) + [[len(bas) - 1]] * empties

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from gwcalc import degeneration, quantum, ring
 from gwcalc.degeneration import (
     AmbientInsertion,
+    BundleComponent,
+    DegenerationTerm,
     ShriekInsertion,
     absolute_insertions,
     closed_form_oracle,
@@ -32,11 +34,19 @@ from gwcalc.errors import HypothesisViolated, Inapplicable, UnsupportedQuery
 from gwcalc.partitions import (
     WeightedPair,
     deg,
+    delta_factor,
     total_weight,
+    weighted_pair,
     weighted_partition,
 )
 from gwcalc.quantum import gw_invariant
-from gwcalc.relative import fiber_vanishing
+from gwcalc.relative import (
+    Pullback,
+    ZeroSection,
+    fiber_vanishing,
+    make_fiber_query,
+    relative_invariant,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 P1_CUT = named_testbed("p1-pt")
@@ -68,6 +78,21 @@ def test_set_partitions_counts():
             assert all(isinstance(b, tuple) and list(b) == sorted(b) for b in p)
             assert [b[0] for b in p] == sorted(b[0] for b in p)
             assert sorted(i for b in p for i in b) == list(range(n))
+
+
+def test_index_partition_rows_are_stirling_rows():
+    # Row (n, k) holds the S(n, k) partitions into k blocks; the rows joined
+    # in order are set_partitions(range(n)).
+    stirling = {(0, 0): 1}
+    for n in range(10):
+        rows = [degeneration._index_partitions(n, k) for k in range(n + 1)]
+        for k, row in enumerate(rows):
+            if n:
+                stirling[n, k] = k * stirling.get((n - 1, k), 0) + stirling.get(
+                    (n - 1, k - 1), 0
+                )
+            assert len(row) == stirling[n, k], (n, k)
+        assert [p for row in rows for p in row] == list(set_partitions(range(n)))
 
 
 def test_set_partitions_map_items_in_order():
@@ -611,6 +636,127 @@ def test_enumerate_terms_plane_line_single_tail():
     for term in enum.terms:
         assert len(term.components) == 1
         assert total_weight(term.partition) == 1
+
+
+def _reference_enumeration(cut, degree, insertions, oracle):
+    """enumerate_terms as a walk that reads every set partition of the
+    transfers and records each one past the tangency weight on its own."""
+    z = cut.divisor.divisor
+    shrieks = [i.beta for i in insertions if isinstance(i, ShriekInsertion)]
+    ambients = tuple(i.cls for i in insertions if isinstance(i, AmbientInsertion))
+    weight = degeneration.divisor_weight(cut, degree)
+    point = len(ring.basis(z)) - 1
+    duals = ring.dual_basis(z)
+    dropped, terms, total = [], [], Fraction(0)
+    if ambients:
+        unit_pair = [weighted_pair(1, ring.unit(z))]
+        sample = make_fiber_query(
+            cut.bundle, 1, [Pullback(ring.unit(z))], weighted_partition(z, unit_pair)
+        )
+        dropped.append(
+            (
+                "bundle-side components with pulled-back insertions vanish, so "
+                "every ambient insertion stays on the X side",
+                sample,
+            )
+        )
+    if weight >= 2:
+        heavy_pair = [weighted_pair(2, ring.point_class(z))]
+        heavy = make_fiber_query(cut.bundle, 2, [], weighted_partition(z, heavy_pair))
+        dropped.append(
+            (
+                "components of fiber degree two or more (or with several "
+                "tangency points) vanish",
+                heavy,
+            )
+        )
+    for blocks in _reference_set_partitions(len(shrieks)):
+        if len(blocks) > weight:
+            reason = "more components than the total tangency weight allows"
+            dropped.append((reason, blocks))
+            continue
+        empties = weight - len(blocks)
+        choices = [range(point + 1)] * len(blocks) + [[point]] * empties
+        for assignment in product(*choices):
+            components = []
+            for block, widx in zip(blocks + ((),) * empties, assignment):
+                betas = tuple(shrieks[i] for i in block)
+                gamma = ring.basis_element(z, widx)
+                query = make_fiber_query(
+                    cut.bundle,
+                    1,
+                    [ZeroSection(b) for b in betas],
+                    weighted_partition(z, [weighted_pair(1, gamma)]),
+                )
+                v = relative_invariant(query)
+                if v == 0:
+                    dropped.append(("component integral vanishes", query))
+                    break
+                components.append(BundleComponent(betas, gamma, v))
+            else:
+                mu = weighted_partition(
+                    z, [weighted_pair(1, c.tangency_weight) for c in components]
+                )
+                mu_dual = weighted_partition(
+                    z,
+                    [
+                        weighted_pair(1, ring.basis_element(z, duals[w].index))
+                        for w in assignment
+                    ],
+                )
+                x_value = oracle(degree, ambients, mu_dual)
+                value = x_value
+                for c in components:
+                    value *= c.value
+                term = DegenerationTerm(
+                    degree=degree,
+                    x_insertions=ambients,
+                    x_partition=mu_dual,
+                    partition=mu,
+                    components=tuple(components),
+                    delta=delta_factor(mu),
+                    x_value=x_value,
+                    value=value,
+                )
+                if value == 0:
+                    dropped.append(("X-side relative invariant vanishes", term))
+                else:
+                    terms.append(term)
+                    total += value
+    return tuple(terms), tuple(dropped), total
+
+
+def test_enumerate_terms_matches_the_full_walk():
+    # The over-weight tail comes from the partition table, after the kept
+    # partitions' records and in the walk's order.
+    x = P1_CUT.divisor.ambient
+    z = P1_CUT.divisor.divisor
+    oracle = closed_form_oracle(P1_CUT)
+    for degree in (1, 2):
+        for points in range(4):
+            for m in range(9):
+                insertions = [AmbientInsertion(ring.point_class(x))] * points
+                insertions += [ShriekInsertion(ring.unit(z))] * m
+                enum = enumerate_terms(P1_CUT, degree, insertions, oracle)
+                reference = _reference_enumeration(P1_CUT, degree, insertions, oracle)
+                assert (enum.terms, enum.dropped, enum.total) == reference, (
+                    degree,
+                    points,
+                    m,
+                )
+
+
+def test_enumerate_terms_records_every_over_weight_partition():
+    # 2 + 10 insertions: Bell(10) - 1 = 115,974 over-weight partitions, plus
+    # the ambient-insertion record.
+    x = P1_CUT.divisor.ambient
+    z = P1_CUT.divisor.divisor
+    insertions = [AmbientInsertion(ring.point_class(x))] * 2
+    insertions += [ShriekInsertion(ring.unit(z))] * 10
+    enum = enumerate_terms(P1_CUT, 1, insertions, closed_form_oracle(P1_CUT))
+    assert len(enum.terms) == 1
+    assert enum.total == 1
+    assert len(enum.dropped) == 115975
 
 
 def test_enumerate_terms_refuses_excess_transfers():
