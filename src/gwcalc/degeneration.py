@@ -171,10 +171,13 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
     Yields (blocks, gammas, mu) for every set partition into at most
     ``weight`` blocks whose block products ``gammas`` are all nonzero;
     ``mu`` pairs each block product with tangency one and fills the
-    remaining tangency with unit-weighted pairs.  Entries are built as they
-    are read, and the last walk read to its end is kept, so a round trip's
-    solve and right-hand side share one walk while a solve that stops early
-    builds only what it read.
+    remaining tangency with unit-weighted pairs.  Each distinct block is
+    multiplied once per walk, and ``mu`` is built once per multiset of
+    block products: the products are shared ring elements, so the sorted
+    identities of a partition's products key its ``mu``.  Entries are built
+    as they are read, and the last walk read to its end is kept, so a round
+    trip's solve and right-hand side share one walk while a solve that
+    stops early builds only what it read.
     """
     global _last_walk
     key = (z_space, betas, weight)
@@ -184,8 +187,8 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
         return
     if betas and weight < 1:
         raise ValueError("positive tangency weight required with insertions")
-    # Each distinct block is multiplied once per walk, left to right as in
-    # cup_all, extending the product of the block less its last index.
+    # Left to right as in cup_all, extending the product of the block less
+    # its last index.
     products = {(): unit(z_space)}
 
     def product(block):
@@ -193,6 +196,8 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
             products[block] = cup(product(block[:-1]), betas[block[-1]])
         return products[block]
 
+    # An equal but distinct product only misses this table.
+    mus: dict[tuple[int, ...], WeightedPartition] = {}
     walk = []
     for count in range(min(1, len(betas)), min(weight, len(betas)) + 1):
         for blocks in _index_partitions(len(betas), count):
@@ -202,9 +207,13 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
                 if gammas[-1].is_zero():
                     break
             else:
-                pairs = [weighted_pair(1, g) for g in gammas]
-                pairs += [weighted_pair(1, unit(z_space))] * (weight - count)
-                entry = (blocks, tuple(gammas), weighted_partition(z_space, pairs))
+                shape = tuple(sorted(map(id, gammas)))
+                mu = mus.get(shape)
+                if mu is None:
+                    pairs = [weighted_pair(1, g) for g in gammas]
+                    pairs += [weighted_pair(1, unit(z_space))] * (weight - count)
+                    mu = mus[shape] = weighted_partition(z_space, pairs)
+                entry = (blocks, tuple(gammas), mu)
                 walk.append(entry)
                 yield entry
     _last_walk = (key, tuple(walk))
@@ -278,6 +287,10 @@ def closed_form_oracle(cut: CutSpec):
     bundle = BundleSpec(point_space(), 0)
 
     def oracle(degree: int, alphas, mu: WeightedPartition) -> Fraction:
+        if degree < 1:
+            raise UnsupportedQuery(
+                f"closed-form relative oracle needs a positive degree, got {degree}"
+            )
         alphas = tuple(alphas)
         total = Fraction(0)
         for combo in _cartesian(*(a.terms() for a in alphas)) if alphas else [()]:
@@ -316,6 +329,14 @@ def solve_relative(
     each unknown exactly.  Distinct partitions can index the same weighted
     partition; their solved values must then agree, else AssertionError is
     raised.
+
+    The merged query of P is evaluated once per (mu, number of blocks) in
+    each call: mu's pairs are the block products plus ``weight - count``
+    unit fillers, so the pair fixes the multiset of insertions, and the
+    absolute oracle is symmetric in even classes.  The unknowns are keyed
+    by the tuple of block bitmasks, so a coarsening's key is the sums of
+    its groups' masks; groups are ordered by their first block and blocks
+    by their least item, so that key is already in the walk's order.
     """
     alphas = tuple(alphas)
     betas = tuple(betas)
@@ -324,36 +345,40 @@ def solve_relative(
     weight = divisor_weight(cut, degree)
     z_space = cut.divisor.divisor
     ambient = cut.divisor.ambient
-    solved: dict[tuple, Fraction] = {}
+    merged: dict[tuple[WeightedPartition, int], Fraction] = {}
+    solved: dict[tuple[int, ...], Fraction] = {}
     table: dict[WeightedPartition, Fraction] = {}
-    # Each distinct block is transferred once per call.
-    transfers: dict[tuple[int, ...], RingElement] = {}
     for blocks, gammas, mu in _comparison_lattice(z_space, betas, weight):
-        for block, g in zip(blocks, gammas):
-            if block not in transfers:
-                transfers[block] = shriek_pushforward(cut.divisor, g)
-        insertions = alphas + tuple(transfers[block] for block in blocks)
-        try:
-            lhs = gw_invariant(ambient, degree, insertions)
-        except UnsupportedQuery as exc:
-            raise UnsupportedQuery(
-                f"absolute oracle cannot evaluate the merged query for blocks "
-                f"{blocks}: {exc}"
-            ) from exc
+        query = (mu, len(blocks))
+        lhs = merged.get(query)
+        if lhs is None:
+            insertions = alphas + tuple(
+                shriek_pushforward(cut.divisor, g) for g in gammas
+            )
+            try:
+                lhs = gw_invariant(ambient, degree, insertions)
+            except UnsupportedQuery as exc:
+                raise UnsupportedQuery(
+                    f"absolute oracle cannot evaluate the merged query for "
+                    f"blocks {blocks}: {exc}"
+                ) from exc
+            merged[query] = lhs
+        masks = tuple(sum(1 << i for i in block) for block in blocks)
         # The strict coarsenings of P are the groupings of its blocks into
-        # fewer blocks; those the walk skipped contribute nothing.
-        coarser_sum = Fraction(0)
+        # fewer blocks; those the walk skipped, and those solved to zero,
+        # contribute nothing.
+        value = lhs
         for count in range(1, len(blocks)):
             for groups in _index_partitions(len(blocks), count):
-                merged = tuple(
-                    tuple(sorted(i for g in group for i in blocks[g]))
-                    for group in groups
+                coarser = solved.get(
+                    tuple(sum(masks[g] for g in group) for group in groups)
                 )
-                coarser_sum += solved.get(merged, 0)
-        solved[blocks] = lhs - coarser_sum
+                if coarser:
+                    value -= coarser
+        solved[masks] = value
         if mu not in table:
-            table[mu] = solved[blocks]
-        elif table[mu] != solved[blocks]:
+            table[mu] = value
+        elif table[mu] != value:
             # An AssertionError, not a typed error: perfbench/golden.json
             # stores this failure as "failed:AssertionError" in
             # lattice_inversion, so a typed error needs a new golden file.

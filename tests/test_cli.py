@@ -157,6 +157,18 @@ def test_verify_plane_line(capsys):
     assert all(case["equal"] for case in payload["cases"])
 
 
+def test_verify_degree_zero_on_the_point_divisor_is_unsupported(capsys):
+    # A valid query the closed-form oracle cannot answer: no degree-0 fiber
+    # lines exist, so the command reports it as unsupported.
+    code, out, err = run(
+        capsys,
+        ["verify", "comparison", "--testbed", "p1-pt", "--degree", "0", "--alphas", "1,1"],
+    )
+    assert (code, err) == (2, "lhs=0 rhs=None equal=None\n")
+    payload = json.loads(out)
+    assert (payload["status"], payload["lhs"], payload["rhs"]) == ("unsupported", "0", None)
+
+
 def test_solve_relative(capsys):
     code, out, _ = run(
         capsys,

@@ -4,6 +4,7 @@ round trip, term enumeration with pruning, and the witness lift."""
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -35,6 +36,7 @@ from gwcalc.partitions import (
     WeightedPair,
     deg,
     delta_factor,
+    partition_to_text,
     total_weight,
     weighted_pair,
     weighted_partition,
@@ -162,11 +164,16 @@ def _reference_partitions(z, betas, weight):
     return out
 
 
-@pytest.mark.parametrize("name", ["p1-pt", "p2-line"])
+@pytest.mark.parametrize("name", ["p1-pt", "p2-line", "p2-in-p3"])
 def test_comparison_partitions_match_reference(name):
     # Same entries, same order, same repeats as the per-block products, for
-    # up to six transfers from the basis: {1} on the point, {1, h} on P^1.
-    z = named_testbed(name).divisor.divisor
+    # up to six transfers from the basis: {1} on the point, {1, h} on P^1,
+    # and {1, h, h^2} on P^2, where partitions into equally many blocks can
+    # have different multisets of block products.
+    if name == "p2-in-p3":
+        z = ring.hyperplane_divisor(3).divisor
+    else:
+        z = named_testbed(name).divisor.divisor
     for betas in _beta_families(z, 6):
         for weight in range(1, 5):
             assert comparison_partitions(z, betas, weight) == (
@@ -238,6 +245,128 @@ def test_failed_solve_builds_only_what_it_read(monkeypatch):
     expected = _reference_partitions(z, betas, 3)
     assert len(expected) == 365
     assert comparison_partitions(z, betas, 3) == expected
+
+
+def _reference_solve(cut, degree, alphas, betas):
+    """solve_relative as a per-partition loop over the test's own walk: one
+    absolute query per set partition, unknowns keyed on the blocks, each
+    coarsening rebuilt as sorted blocks."""
+    z = cut.divisor.divisor
+    solved, table = {}, {}
+    weight = degeneration.divisor_weight(cut, degree)
+    for mu, blocks in _reference_partitions(z, betas, weight):
+        insertions = tuple(alphas) + tuple(
+            ring.shriek_pushforward(cut.divisor, ring.cup_all(z, [betas[i] for i in b]))
+            for b in blocks
+        )
+        try:
+            lhs = gw_invariant(cut.divisor.ambient, degree, insertions)
+        except UnsupportedQuery as exc:
+            raise UnsupportedQuery(
+                f"absolute oracle cannot evaluate the merged query for blocks "
+                f"{blocks}: {exc}"
+            ) from exc
+        coarser_sum = Fraction(0)
+        for coarser in _reference_set_partitions(len(blocks))[:-1]:
+            merged = tuple(
+                tuple(sorted(i for g in group for i in blocks[g])) for group in coarser
+            )
+            coarser_sum += solved.get(merged, 0)
+        solved[blocks] = lhs - coarser_sum
+        if mu not in table:
+            table[mu] = solved[blocks]
+        elif table[mu] != solved[blocks]:
+            raise AssertionError(
+                f"inconsistent relative value for {partition_to_text(mu)}"
+            )
+    return table
+
+
+def _solve_outcome(solve, cut, degree, alphas, betas):
+    """The solved table in order, or the type and message of the refusal."""
+    try:
+        return list(solve(cut, degree, alphas, betas).items())
+    except (AssertionError, UnsupportedQuery) as exc:
+        return type(exc), str(exc)
+
+
+def _solver_cells(name):
+    if name == "p1-pt":
+        pt = ring.point_class(P1_CUT.divisor.ambient)
+        one = ring.unit(P1_CUT.divisor.divisor)
+        for degree, m, points in product(range(1, 4), range(7), range(3)):
+            yield P1_CUT, degree, (pt,) * points, (one,) * m
+    elif name == "p2-line":
+        # Every multiset of {1, pt}, and up to four transfers also of -1 and
+        # 2pt, so that some coarsenings solve to negative values, with as
+        # many point alphas as the dimension rule asks for.
+        pt = ring.point_class(P2_CUT.divisor.ambient)
+        z = P2_CUT.divisor.divisor
+        one, pt_z = ring.unit(z), ring.point_class(z)
+        signed = (one, pt_z, -one, 2 * pt_z)
+        for degree, m in product(range(1, 4), range(8)):
+            for betas in combinations_with_replacement(signed[: 4 if m <= 4 else 2], m):
+                points = 3 * degree - 1 - sum(b.homogeneous_degree() for b in betas) // 2
+                if points >= 0:
+                    yield P2_CUT, degree, (pt,) * points, betas
+    else:
+        cut = make_cut(ring.hyperplane_divisor(3))
+        x, z = cut.divisor.ambient, cut.divisor.divisor
+        for degree, alphas, betas in _hyperplane_queries(x, z, lambda d: d + 1, 4):
+            if degree < 3:
+                yield cut, degree, alphas, betas
+
+
+@pytest.mark.parametrize("name", ["p1-pt", "p2-line", "p2-in-p3"])
+def test_solver_matches_the_per_partition_loop(name):
+    # One merged query per (mu, block count) and bitmask keys give the
+    # same table as one query per partition with sorted block keys, and
+    # fail at the same partition with the same message.
+    def solve(*args):
+        return solve_relative(*args, require_hypothesis=False)
+
+    kinds = set()
+    for cell in _solver_cells(name):
+        outcome = _solve_outcome(solve, *cell)
+        assert outcome == _solve_outcome(_reference_solve, *cell), cell
+        kinds.add(outcome[0] if isinstance(outcome, tuple) else "ok")
+    assert "ok" in kinds
+    failure = {"p1-pt": None, "p2-line": AssertionError, "p2-in-p3": UnsupportedQuery}
+    if failure[name]:
+        assert failure[name] in kinds
+
+
+def test_solver_evaluates_each_merged_query_once(monkeypatch):
+    # The walk has 243 entries but only two (mu, block count) pairs: two
+    # and three blocks both give the weighted partition (1,pt)+(1,pt)+(1,1).
+    calls = _count_calls(monkeypatch, [degeneration], "gw_invariant")
+    x, z = P2_CUT.divisor.ambient, P2_CUT.divisor.divisor
+    pt, one = ring.point_class(z), ring.unit(z)
+    betas = (pt, one, one, one, one, pt, one)
+    alphas = (ring.point_class(x),) * 6
+    table = solve_relative(P2_CUT, 3, alphas, betas, require_hypothesis=False)
+    assert list(table.values()) == [12]
+    assert len(comparison_partitions(z, betas, 3)) == 243
+    assert len(calls) == 2
+
+
+def test_walk_builds_each_weighted_partition_once(monkeypatch):
+    # One weighted_partition call per multiset of block products, on P^2,
+    # where partitions into equally many blocks can differ in that multiset.
+    monkeypatch.setattr(degeneration, "_last_walk", (None, ()))
+    calls = _count_calls(monkeypatch, [degeneration], "weighted_partition")
+    z = ring.hyperplane_divisor(3).divisor
+    one, h, pt = (ring.basis_element(z, i) for i in range(3))
+    for betas in [(one,) * 6, (pt, one, one, h, one, pt, one), (h, h, one, h)]:
+        calls.clear()
+        reference = _reference_partitions(z, betas, 3)
+        walk = comparison_partitions(z, betas, 3)
+        assert walk == reference
+        shapes = set()
+        for _, blocks in reference:
+            products = Counter(ring.cup_all(z, [betas[i] for i in b]) for b in blocks)
+            shapes.add(frozenset(products.items()))
+        assert len(calls) == len(shapes) < len(walk)
 
 
 def test_inconsistent_solve_raises_under_optimisation():
@@ -589,6 +718,18 @@ def test_verify_comparison_unsupported_is_reported():
         (),
     )
     assert "more than three non-divisor insertions" in report.detail
+
+
+def test_closed_form_oracle_refuses_degree_zero():
+    # There are no degree-0 fiber lines; the oracle refuses the query
+    # instead of failing on it, in verification and in term enumeration.
+    x = P1_CUT.divisor.ambient
+    report = verify_comparison(P1_CUT, 0, (ring.unit(x),) * 2, ())
+    assert (report.status, report.lhs, report.rhs) == ("unsupported", 0, None)
+    assert "positive degree" in report.detail
+    oracle = closed_form_oracle(P1_CUT)
+    with pytest.raises(UnsupportedQuery, match="positive degree"):
+        enumerate_terms(P1_CUT, 0, [AmbientInsertion(ring.unit(x))] * 2, oracle)
 
 
 def test_enumerate_terms_line_identity():
