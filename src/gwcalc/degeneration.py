@@ -82,8 +82,10 @@ def testbed_cut(name: str) -> CutSpec:
     raise ValueError(f"unknown testbed {name!r}")
 
 
+@lru_cache(maxsize=None)
 def divisor_weight(cut: CutSpec, degree: int) -> int:
-    """Total tangency weight Z . A for a degree-d ambient class."""
+    """Total tangency weight Z . A for a degree-d ambient class, computed
+    once per (cut, degree)."""
     if degree < 0:
         raise ValueError("curve degree must be nonnegative")
     value = degree * h2_pairing(cut.divisor.divisor_class)
@@ -108,16 +110,6 @@ class ShriekInsertion(Value):
     divisor: it vanishes on the X side and lands on the bundle side."""
 
     beta: RingElement
-
-
-def absolute_insertions(cut: CutSpec, insertions) -> tuple[RingElement, ...]:
-    out = []
-    for ins in insertions:
-        if isinstance(ins, AmbientInsertion):
-            out.append(ins.cls)
-        else:
-            out.append(shriek_pushforward(cut.divisor, ins.beta))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +322,18 @@ def solve_relative(
     partition; their solved values must then agree, else AssertionError is
     raised.
 
-    The merged query of P is evaluated once per (mu, number of blocks) in
-    each call: mu's pairs are the block products plus ``weight - count``
-    unit fillers, so the pair fixes the multiset of insertions, and the
-    absolute oracle is symmetric in even classes.  The unknowns are keyed
-    by the tuple of block bitmasks, so a coarsening's key is the sums of
-    its groups' masks; groups are ordered by their first block and blocks
-    by their least item, so that key is already in the walk's order.
+    P's solved value depends only on (mu, number of blocks), so it is
+    computed once per such pair in each call.  Given the count, mu fixes
+    the multiset of P's block products: its pairs are those products plus
+    ``weight - count`` unit fillers.  That multiset fixes the merged query,
+    as the absolute oracle is symmetric in even classes.  The strict
+    coarsenings of P are the groupings of its blocks, and by induction from
+    the coarsest level each one's value depends only on the multiset of its
+    merged products; a grouping with a zero product is not in the walk and
+    counts 0.  So the subtraction, too, depends only on the multiset.
+
+    Every entry records the value under its tuple of block bitmasks, the
+    key coarser lookups read (see ``_subtract_coarsenings``).
     """
     alphas = tuple(alphas)
     betas = tuple(betas)
@@ -345,13 +342,14 @@ def solve_relative(
     weight = divisor_weight(cut, degree)
     z_space = cut.divisor.divisor
     ambient = cut.divisor.ambient
-    merged: dict[tuple[WeightedPartition, int], Fraction] = {}
+    values: dict[tuple[WeightedPartition, int], Fraction] = {}
     solved: dict[tuple[int, ...], Fraction] = {}
     table: dict[WeightedPartition, Fraction] = {}
     for blocks, gammas, mu in _comparison_lattice(z_space, betas, weight):
-        query = (mu, len(blocks))
-        lhs = merged.get(query)
-        if lhs is None:
+        masks = tuple(sum(1 << i for i in block) for block in blocks)
+        key = (mu, len(blocks))
+        value = values.get(key)
+        if value is None:
             insertions = alphas + tuple(
                 shriek_pushforward(cut.divisor, g) for g in gammas
             )
@@ -362,30 +360,42 @@ def solve_relative(
                     f"absolute oracle cannot evaluate the merged query for "
                     f"blocks {blocks}: {exc}"
                 ) from exc
-            merged[query] = lhs
-        masks = tuple(sum(1 << i for i in block) for block in blocks)
-        # The strict coarsenings of P are the groupings of its blocks into
-        # fewer blocks; those the walk skipped, and those solved to zero,
-        # contribute nothing.
-        value = lhs
-        for count in range(1, len(blocks)):
-            for groups in _index_partitions(len(blocks), count):
-                coarser = solved.get(
-                    tuple(sum(masks[g] for g in group) for group in groups)
+            value = values[key] = _subtract_coarsenings(lhs, solved, masks)
+            # A later entry with this key has this value, so only a first
+            # entry can disagree with the table.
+            if mu not in table:
+                table[mu] = value
+            elif table[mu] != value:
+                # An AssertionError, not a typed error: perfbench/golden.json
+                # stores this failure as "failed:AssertionError" in
+                # lattice_inversion, so a typed error needs a new golden file.
+                raise AssertionError(
+                    f"inconsistent relative value for {partition_to_text(mu)}"
                 )
-                if coarser:
-                    value -= coarser
-        solved[masks] = value
-        if mu not in table:
-            table[mu] = value
-        elif table[mu] != value:
-            # An AssertionError, not a typed error: perfbench/golden.json
-            # stores this failure as "failed:AssertionError" in
-            # lattice_inversion, so a typed error needs a new golden file.
-            raise AssertionError(
-                f"inconsistent relative value for {partition_to_text(mu)}"
-            )
+        if value:
+            solved[masks] = value
     return table
+
+
+def _subtract_coarsenings(lhs, solved: dict, masks: tuple[int, ...]):
+    """``lhs`` less the solved values of the strict coarsenings of the
+    partition whose blocks have these bitmasks.
+
+    Those coarsenings are the groupings of its blocks into fewer blocks, and
+    a grouping's key is the sums of its groups' masks: groups are ordered by
+    their first block and blocks by their least item, so that key is
+    already in the walk's order.  Coarsenings the walk skipped, and those
+    solved to zero, are not in ``solved`` and contribute nothing.
+    """
+    value = lhs
+    for count in range(1, len(masks)):
+        for groups in _index_partitions(len(masks), count):
+            coarser = solved.get(
+                tuple(sum(masks[g] for g in group) for group in groups)
+            )
+            if coarser:
+                value -= coarser
+    return value
 
 
 def table_oracle(table: dict[WeightedPartition, Fraction]):

@@ -5,7 +5,7 @@ Z, with zero section Z_0 and infinity section D.  For fiber classes the
 genus-zero relative invariants relative to D reduce to integrals over Z, and
 outside a single exceptional shape they vanish; for section classes with no
 tangency conditions they reduce to absolute invariants of Z.  This module
-implements those closed forms, the vanishing predicate, and the minimal
+implements those closed forms, the vanishing criteria, and the minimal
 normal Chern number used as a positivity threshold.
 """
 
@@ -169,15 +169,6 @@ def _vanishing_reason(query: RelQuery) -> str | None:
     if zstar(query) >= d and (not fiber or k + l + q >= 3):
         return "dimension pushdown to the base moduli space"
     return None
-
-
-def fiber_vanishing(query: RelQuery) -> bool:
-    """True when the invariant is forced to vanish by dimension pushdown or
-    by the single transverse-tangency shape (see ``_vanishing_reason``).
-
-    False means "not decided by these criteria", never "nonzero".
-    """
-    return _vanishing_reason(query) is not None
 
 
 def fiber_two_point(

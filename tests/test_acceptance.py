@@ -34,10 +34,10 @@ from gwcalc.relative import (
     BundleSpec,
     Pullback,
     ZeroSection,
+    _vanishing_reason,
     empty_partition_divisor,
     fiber_one_relative,
     fiber_two_point,
-    fiber_vanishing,
     make_fiber_query,
     min_normal_chern,
     relative_invariant_with_reason,
@@ -102,7 +102,7 @@ def test_criterion_3_vanishing_consistency():
                                     Pullback(a) for a in pb
                                 ]
                                 query = make_fiber_query(bundle, s, ins, mu)
-                                vanishes = fiber_vanishing(query)
+                                vanishes = _vanishing_reason(query) is not None
                                 value, _ = relative_invariant_with_reason(query)
                                 if vanishes:
                                     if value != 0:

@@ -15,10 +15,10 @@ from gwcalc.relative import (
     BundleSpec,
     Pullback,
     ZeroSection,
+    _vanishing_reason,
     empty_partition_divisor,
     fiber_one_relative,
     fiber_two_point,
-    fiber_vanishing,
     make_fiber_query,
     make_section_query,
     min_normal_chern,
@@ -31,6 +31,13 @@ from gwcalc.relative import (
 PT_SPACE = ring.point_space()
 P1 = ring.projective_space(1)
 P2 = ring.projective_space(2)
+
+
+def fiber_vanishing(query) -> bool:
+    """True when the invariant is forced to vanish by dimension pushdown or
+    by the single transverse-tangency shape; False means "not decided by
+    these criteria", never "nonzero"."""
+    return _vanishing_reason(query) is not None
 
 
 def _two_point(s: int, d: int) -> Fraction:
