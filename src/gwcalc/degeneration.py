@@ -251,16 +251,21 @@ def comparison_rhs(
     ``rel_oracle(degree, alphas, partition)`` supplies the relative
     invariants of (X, Z).  With ``require_hypothesis`` the minimal normal
     Chern number must dominate the number of transferred classes; pass
-    False to exercise the formal identity outside that range.
+    False to exercise the formal identity outside that range.  The oracle
+    is asked once per distinct partition, in the order of first appearance.
     """
     alphas = tuple(alphas)
     betas = tuple(betas)
     if require_hypothesis:
         _check_hypothesis(cut, len(betas))
     weight = divisor_weight(cut, degree)
+    values: dict[WeightedPartition, Fraction] = {}
     terms = []
     for mu, blocks in comparison_partitions(cut.divisor.divisor, betas, weight):
-        terms.append((mu, blocks, rel_oracle(degree, alphas, mu)))
+        value = values.get(mu)
+        if value is None:
+            value = values[mu] = rel_oracle(degree, alphas, mu)
+        terms.append((mu, blocks, value))
     total = sum((v for _, _, v in terms), Fraction(0))
     return total, terms
 

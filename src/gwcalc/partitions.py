@@ -129,11 +129,6 @@ def weighted_partition(space: Space, pairs) -> WeightedPartition:
     return found
 
 
-def pairs_of(space: Space, data) -> WeightedPartition:
-    """Build a partition from (multiplicity, element) tuples."""
-    return weighted_partition(space, (weighted_pair(m, w) for m, w in data))
-
-
 def total_weight(mu: WeightedPartition) -> int:
     return sum(p.multiplicity for p in mu.pairs)
 

@@ -109,56 +109,31 @@ def quantum_class(space: Space, parts: dict[int, RingElement]) -> QuantumClass:
     return QuantumClass(space, cleaned)
 
 
-def quantum_lift(a: RingElement) -> QuantumClass:
-    return quantum_class(a.space, {0: a})
-
-
-def _hook_removals(nu: Partition, n: int):
-    """Removable n-rim hooks of nu as (height, smaller partition) pairs.
-
-    Encoded on first-column hook lengths: subtracting n from one of them
-    (staying nonnegative and distinct) removes one border strip whose height
-    is the number of values jumped over, plus one.
-    """
-    length = len(nu)
-    if length == 0:
-        return
-    betas = [nu[i] + (length - 1 - i) for i in range(length)]
-    taken = set(betas)
-    for i, b in enumerate(betas):
-        nb = b - n
-        if nb < 0 or nb in taken:
-            continue
-        ht = sum(1 for c in betas if nb < c < b) + 1
-        news = sorted((set(betas) - {b}) | {nb}, reverse=True)
-        parts = tuple(news[j] - (length - 1 - j) for j in range(length))
-        yield ht, tuple(p for p in parts if p > 0)
-
-
 @lru_cache(maxsize=None)
-def _rim_reduce(nu: Partition, rows: int, cols: int, n: int):
-    """Remove n-rim hooks from nu until it fits in the rows x cols box.
+def _rim_reduce(nu: Partition, rows: int, n: int):
+    """Reduce nu by n-rim hooks to the rows x (n - rows) box, on the abacus.
 
-    Returns (sign, hook count, reduced partition) or None when the process
-    dead-ends.  Every removal order must agree, since the reduced shape is
-    the unique n-core relative to the box; a disagreement is an internal
-    error.
+    Place rows beads at b_i = nu_i + rows - 1 - i, nu padded with zeros.
+    Removing an n-rim hook of height ht moves one bead from b to b - n past
+    ht - 1 others, with sign (-1)^(rows - ht).  So the reduction dies when
+    nu has more than rows rows or two residues b_i mod n coincide, and
+    otherwise takes sum(b_i // n) hooks to the shape whose beads are the
+    residues, with the sign of sorting them times (-1)^((rows - 1) * count).
+
+    Returns (sign, hook count, reduced partition) or None.
     """
-    if in_box(nu, rows, cols):
-        return (1, 0, nu)
-    outcomes = set()
-    for ht, smaller in _hook_removals(nu, n):
-        sub = _rim_reduce(smaller, rows, cols, n)
-        if sub is None:
-            outcomes.add(None)
-        else:
-            sign, count, core = sub
-            outcomes.add((sign * (-1) ** (rows - ht), count + 1, core))
-    if not outcomes:
+    if len(nu) > rows:
         return None
-    if len(outcomes) != 1:
-        raise RuntimeError(f"inconsistent rim-hook reduction of {nu}")
-    return outcomes.pop()
+    padded = nu + (0,) * (rows - len(nu))
+    beads = [p + rows - 1 - i for i, p in enumerate(padded)]
+    residues = [b % n for b in beads]
+    if len(set(residues)) < rows:
+        return None
+    count = sum(b // n for b in beads)
+    inversions = sum(residues[i] < residues[j] for j in range(rows) for i in range(j))
+    ordered = sorted(residues, reverse=True)
+    core = tuple(r - (rows - 1 - j) for j, r in enumerate(ordered) if r > rows - 1 - j)
+    return (-1) ** (inversions + (rows - 1) * count), count, core
 
 
 def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClass:
@@ -179,9 +154,7 @@ def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClas
             raise ValueError(f"partition {parts} does not fit in {rows}x{cols}")
     acc: dict[int, dict[int, Fraction]] = {}
     for nu, c in lr_expansion(lam, mu):
-        if len(nu) > rows:
-            continue
-        reduced = _rim_reduce(nu, rows, cols, n)
+        reduced = _rim_reduce(nu, rows, n)
         if reduced is None:
             continue
         sign, count, core = reduced
@@ -203,25 +176,6 @@ def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClas
             if basis(space)[i].real_degree + 2 * e * n != total:
                 raise RuntimeError("graded leak")
     return out
-
-
-def star(x: QuantumClass, y: QuantumClass) -> QuantumClass:
-    """Bilinear extension of the quantum product to q-polynomials."""
-    if x.space != y.space:
-        raise ValueError("space mismatch")
-    space = x.space
-    acc: dict[int, RingElement] = {}
-    for e1, a in x.terms:
-        for i, ca in a.coeffs:
-            la = basis_partition(space, i)
-            for e2, b in y.terms:
-                for j, cb in b.coeffs:
-                    lb = basis_partition(space, j)
-                    for e3, elem in rim_hook_product(la, lb, space).terms:
-                        key = e1 + e2 + e3
-                        bump = (ca * cb) * elem
-                        acc[key] = acc.get(key, zero(space)) + bump
-    return quantum_class(space, acc)
 
 
 def _three_point(space: Space, la, lb, lc, degree: int) -> Fraction:

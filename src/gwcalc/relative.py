@@ -24,10 +24,8 @@ from .ring import (
     Space,
     cup,
     cup_all,
-    generator_class,
     integrate,
     normal_degree,
-    zero,
 )
 from .value import Value
 
@@ -257,24 +255,6 @@ def empty_partition_divisor(
 
 # The highest curve degree min_normal_chern searches for a nonzero invariant.
 MIN_CHERN_SEARCH_DEGREE = 3
-
-
-def zero_section_divisor(bundle: BundleSpec) -> DivisorDescriptor:
-    """The zero section of P(L + O) as a divisor known only through its
-    normal bundle (no ambient cohomology model)."""
-    base = bundle.base
-    if base.kind == POINT:
-        normal = zero(base)
-    else:
-        normal = bundle.c1_l * generator_class(base)
-    return DivisorDescriptor(
-        ambient=None,
-        divisor=base,
-        restriction=None,
-        transfer=None,
-        divisor_class=None,
-        normal_c1=normal,
-    )
 
 
 def min_normal_chern(divisor: DivisorDescriptor):

@@ -314,15 +314,6 @@ def element_to_json(a: RingElement) -> dict[str, str]:
     return {bas[i].label: str(c) for i, c in a.coeffs}
 
 
-def element_from_json(space: Space, data: dict[str, str]) -> RingElement:
-    acc: dict[int, Fraction] = {}
-    for label, value in data.items():
-        term = by_label(space, label)
-        idx = term.coeffs[0][0]
-        acc[idx] = acc.get(idx, Fraction(0)) + Fraction(value)
-    return element(space, acc)
-
-
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson expansion, by counting lattice skew tableaux.
 

@@ -1,0 +1,63 @@
+"""Constructors the tests share and the engine itself never calls: the quantum
+product extended to q-polynomials, weighted partitions from plain tuples,
+and the zero section of P(L + O) as a divisor known only by its normal
+bundle."""
+
+from gwcalc.partitions import WeightedPartition, weighted_pair, weighted_partition
+from gwcalc.quantum import QuantumClass, quantum_class, rim_hook_product
+from gwcalc.relative import BundleSpec
+from gwcalc.ring import (
+    POINT,
+    DivisorDescriptor,
+    RingElement,
+    Space,
+    basis_partition,
+    generator_class,
+    zero,
+)
+
+
+def quantum_lift(a: RingElement) -> QuantumClass:
+    return quantum_class(a.space, {0: a})
+
+
+def star(x: QuantumClass, y: QuantumClass) -> QuantumClass:
+    """Bilinear extension of the quantum product to q-polynomials."""
+    if x.space != y.space:
+        raise ValueError("space mismatch")
+    space = x.space
+    acc: dict[int, RingElement] = {}
+    for e1, a in x.terms:
+        for i, ca in a.coeffs:
+            la = basis_partition(space, i)
+            for e2, b in y.terms:
+                for j, cb in b.coeffs:
+                    lb = basis_partition(space, j)
+                    for e3, elem in rim_hook_product(la, lb, space).terms:
+                        key = e1 + e2 + e3
+                        bump = (ca * cb) * elem
+                        acc[key] = acc.get(key, zero(space)) + bump
+    return quantum_class(space, acc)
+
+
+def pairs_of(space: Space, data) -> WeightedPartition:
+    """Build a partition from (multiplicity, element) tuples."""
+    return weighted_partition(space, (weighted_pair(m, w) for m, w in data))
+
+
+def zero_section_divisor(bundle: BundleSpec) -> DivisorDescriptor:
+    """The zero section of P(L + O) as a divisor known only through its
+    normal bundle (no ambient cohomology model)."""
+    base = bundle.base
+    if base.kind == POINT:
+        normal = zero(base)
+    else:
+        normal = bundle.c1_l * generator_class(base)
+    return DivisorDescriptor(
+        ambient=None,
+        divisor=base,
+        restriction=None,
+        transfer=None,
+        divisor_class=None,
+        normal_c1=normal,
+    )

@@ -25,9 +25,7 @@ from gwcalc.partitions import (
 )
 from gwcalc.quantum import (
     gw_invariant,
-    quantum_lift,
     rim_hook_product,
-    star,
     wdvv_nd,
 )
 from gwcalc.relative import (
@@ -42,6 +40,8 @@ from gwcalc.relative import (
     min_normal_chern,
     relative_invariant_with_reason,
 )
+
+from helpers import quantum_lift, star
 
 PT = ring.point_space()
 P1 = ring.projective_space(1)

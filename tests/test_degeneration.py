@@ -33,6 +33,7 @@ from gwcalc.degeneration import (
 from gwcalc.errors import HypothesisViolated, Inapplicable, UnsupportedQuery
 from gwcalc.partitions import (
     WeightedPair,
+    aut_order,
     deg,
     delta_factor,
     partition_to_text,
@@ -438,6 +439,41 @@ def test_comparison_rhs_line_point_identity():
         total, terms = comparison_rhs(P1_CUT, 1, alphas, [ring.unit(z)], oracle)
         assert total == 1
         assert len(terms) == 1
+
+
+def test_comparison_rhs_asks_the_oracle_once_per_partition():
+    # One oracle call per distinct weighted partition, and still one term per
+    # walk entry, equal to the term the oracle gives that entry directly.
+    z1 = P1_CUT.divisor.divisor
+    plane_cut = make_cut(ring.hyperplane_divisor(3))
+    z2 = plane_cut.divisor.divisor
+    cases = [
+        (P1_CUT, 8, (ring.unit(z1),) * 8, closed_form_oracle(P1_CUT)),
+        (
+            plane_cut,
+            3,
+            tuple(ring.by_label(z2, b) for b in ("h", "h", "h", "1", "1")),
+            lambda degree, alphas, mu: Fraction(deg(mu), aut_order(mu)),
+        ),
+    ]
+    distinct = []
+    for cut, degree, betas, oracle in cases:
+        asked = []
+
+        def counted(degree, alphas, mu, oracle=oracle):
+            asked.append(mu)
+            return oracle(degree, alphas, mu)
+
+        total, terms = comparison_rhs(
+            cut, degree, (), betas, counted, require_hypothesis=False
+        )
+        weight = degeneration.divisor_weight(cut, degree)
+        walk = comparison_partitions(cut.divisor.divisor, betas, weight)
+        assert terms == [(mu, blocks, oracle(degree, (), mu)) for mu, blocks in walk]
+        assert total == sum(value for _, _, value in terms)
+        assert len(asked) == len(set(asked)) == len({mu for mu, _ in walk})
+        distinct.append((len(walk), len(asked)))
+    assert distinct == [(4140, 1), (36, 2)]
 
 
 def test_comparison_rhs_hypothesis_enforced():
@@ -1021,7 +1057,8 @@ def test_rc_lift_refuses_a_vanishing_ambient_query():
 
 
 def test_make_cut_requires_ambient():
-    from gwcalc.relative import BundleSpec, zero_section_divisor
+    from gwcalc.relative import BundleSpec
+    from helpers import zero_section_divisor
 
     with pytest.raises(ValueError):
         make_cut(zero_section_divisor(BundleSpec(ring.projective_space(1), 1)))

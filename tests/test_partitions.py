@@ -15,13 +15,14 @@ from gwcalc.partitions import (
     empty_partition,
     key_compare,
     lex_compare,
-    pairs_of,
     parse_partition,
     partition_to_text,
     size_compare,
     total_weight,
     weighted_partition,
 )
+
+from helpers import pairs_of
 
 P1 = ring.projective_space(1)
 P2 = ring.projective_space(2)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
@@ -17,14 +18,14 @@ from gwcalc.errors import UnsupportedQuery
 from gwcalc.quantum import (
     chern_generator,
     gw_invariant,
-    quantum_lift,
     rc_certificate,
     rim_hook_product,
-    star,
     nonzero_invariant_in_degree,
     virtual_dimension,
     wdvv_nd,
 )
+
+from helpers import quantum_lift, star
 
 P1 = ring.projective_space(1)
 P2 = ring.projective_space(2)
@@ -303,6 +304,63 @@ def test_rim_hook_coefficients_nonnegative():
             qc = rim_hook_product(lam, mu, space)
             for _, elem in qc.terms:
                 assert all(c > 0 for _, c in elem.coeffs)
+
+
+def _hook_removals(nu, n):
+    """Removable n-rim hooks of nu as (height, smaller partition) pairs.
+
+    Encoded on first-column hook lengths: subtracting n from one of them
+    (staying nonnegative and distinct) removes one border strip whose height
+    is the number of values jumped over, plus one.
+    """
+    length = len(nu)
+    betas = [nu[i] + (length - 1 - i) for i in range(length)]
+    for b in betas:
+        nb = b - n
+        if nb < 0 or nb in betas:
+            continue
+        ht = sum(1 for c in betas if nb < c < b) + 1
+        news = sorted((set(betas) - {b}) | {nb}, reverse=True)
+        parts = tuple(news[j] - (length - 1 - j) for j in range(length))
+        yield ht, tuple(p for p in parts if p > 0)
+
+
+@lru_cache(maxsize=None)
+def _reference_rim_reduce(nu, rows, cols, n):
+    """The rim-hook rule by search: remove n-rim hooks from nu in every order
+    until it fits in the rows x cols box, each hook of height ht with sign
+    (-1)^(rows - ht).  Returns (sign, hook count, reduced partition), or None
+    when every order dead-ends; all orders must agree."""
+    if len(nu) > rows:
+        return None
+    if ring.in_box(nu, rows, cols):
+        return (1, 0, nu)
+    outcomes = set()
+    for ht, smaller in _hook_removals(nu, n):
+        sub = _reference_rim_reduce(smaller, rows, cols, n)
+        if sub is None:
+            outcomes.add(None)
+        else:
+            sign, count, core = sub
+            outcomes.add((sign * (-1) ** (rows - ht), count + 1, core))
+    assert len(outcomes) <= 1, (nu, rows, cols, outcomes)
+    return outcomes.pop() if outcomes else None
+
+
+def test_rim_reduce_matches_the_removal_order_search():
+    # Every shape with at most rows + 1 rows and first part <= 2 * cols, in
+    # every box with n = rows + cols <= 8: the abacus closed form equals the
+    # search over removal orders.
+    checked = 0
+    for n in range(2, 9):
+        for rows in range(1, n):
+            cols = n - rows
+            for nu in ring.rectangle_partitions(rows + 1, 2 * cols):
+                got = quantum._rim_reduce(nu, rows, n)
+                assert got == _reference_rim_reduce(nu, rows, cols, n), (nu, rows, n)
+                checked += got is not None and got[1] > 0
+    assert checked > 1000
+    assert quantum._rim_reduce((), 0, 0) == (1, 0, ())
 
 
 def test_quantum_associativity_gr24():

@@ -10,7 +10,7 @@ import pytest
 
 from gwcalc import ring
 from gwcalc.errors import Inapplicable, UnsupportedQuery
-from gwcalc.partitions import WeightedPair, pairs_of, weighted_partition
+from gwcalc.partitions import WeightedPair, weighted_partition
 from gwcalc.relative import (
     BundleSpec,
     Pullback,
@@ -24,9 +24,10 @@ from gwcalc.relative import (
     min_normal_chern,
     relative_invariant,
     relative_invariant_with_reason,
-    zero_section_divisor,
     zstar,
 )
+
+from helpers import pairs_of, zero_section_divisor
 
 PT_SPACE = ring.point_space()
 P1 = ring.projective_space(1)

@@ -293,7 +293,6 @@ def test_element_arithmetic_and_serialisation():
     a = ring.by_label(g, "s2") + Fraction(3, 2) * ring.by_label(g, "s11")
     data = ring.element_to_json(a)
     assert data == {"s2": "1", "s11": "3/2"}
-    assert ring.element_from_json(g, data) == a
     assert (a - a).is_zero()
     assert a.homogeneous_degree() == 4
     mixed = a + ring.unit(g)

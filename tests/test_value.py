@@ -31,7 +31,6 @@ from gwcalc.partitions import (
     WeightedPair,
     WeightedPartition,
     empty_partition,
-    pairs_of,
     parse_partition,
     weighted_pair,
     weighted_partition,
@@ -39,6 +38,8 @@ from gwcalc.partitions import (
 from gwcalc.quantum import gw_invariant
 from gwcalc.relative import FiberClass, SectionClass, ZeroSection
 from gwcalc.value import Value
+
+from helpers import pairs_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 P1 = ring.projective_space(1)
