@@ -151,6 +151,16 @@ def _index_partitions(n: int, count: int) -> tuple:
     return tuple(sorted(grown))
 
 
+@lru_cache(maxsize=None)
+def _masked_partitions(n: int, count: int) -> tuple:
+    """The rows of ``_index_partitions(n, count)``, each paired with its
+    blocks' bitmasks (item i is bit i), built once per size."""
+    return tuple(
+        (blocks, tuple(sum(1 << i for i in block) for block in blocks))
+        for blocks in _index_partitions(n, count)
+    )
+
+
 # The last complete walk as (arguments, entries): one tuple, replaced whole,
 # so a reader sees either the previous walk or the next, never part of one.
 _last_walk: tuple = (None, ())
@@ -160,12 +170,16 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
     """Walk the set-partition lattice of the transferred classes, coarsest
     first.
 
-    Yields (blocks, gammas, mu) for every set partition into at most
+    Yields (blocks, masks, gammas, mu) for every set partition into at most
     ``weight`` blocks whose block products ``gammas`` are all nonzero;
-    ``mu`` pairs each block product with tangency one and fills the
-    remaining tangency with unit-weighted pairs.  Each distinct block is
-    multiplied once per walk, and ``mu`` is built once per multiset of
-    block products: the products are shared ring elements, so the sorted
+    ``masks`` are the blocks' bitmasks (item i is bit i), and ``mu`` pairs
+    each block product with tangency one and fills the remaining tangency
+    with unit-weighted pairs.  Block products are kept per walk under their
+    masks, each one cup from the product of its mask less the highest bit,
+    so each distinct block is multiplied at most once; a mask whose product
+    vanishes skips every later partition that has it as a block, before any
+    product is looked up.  ``mu`` is built once per multiset of block
+    products: the products are shared ring elements, so the sorted
     identities of a partition's products key its ``mu``.  Entries are built
     as they are read, and the last walk read to its end is kept, so a round
     trip's solve and right-hand side share one walk while a solve that
@@ -179,24 +193,31 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
         return
     if betas and weight < 1:
         raise ValueError("positive tangency weight required with insertions")
-    # Left to right as in cup_all, extending the product of the block less
-    # its last index.
-    products = {(): unit(z_space)}
+    products = {0: unit(z_space)}
+    vanishing = set()
 
-    def product(block):
-        if block not in products:
-            products[block] = cup(product(block[:-1]), betas[block[-1]])
-        return products[block]
+    def product(mask):
+        # Left to right as in cup_all: the block less its highest item, then
+        # that item.
+        gamma = products.get(mask)
+        if gamma is None:
+            top = mask.bit_length() - 1
+            gamma = products[mask] = cup(product(mask ^ (1 << top)), betas[top])
+            if gamma.is_zero():
+                vanishing.add(mask)
+        return gamma
 
     # An equal but distinct product only misses this table.
     mus: dict[tuple[int, ...], WeightedPartition] = {}
     walk = []
     for count in range(min(1, len(betas)), min(weight, len(betas)) + 1):
-        for blocks in _index_partitions(len(betas), count):
+        for blocks, masks in _masked_partitions(len(betas), count):
+            if not vanishing.isdisjoint(masks):
+                continue
             gammas = []
-            for block in blocks:
-                gammas.append(product(block))
-                if gammas[-1].is_zero():
+            for mask in masks:
+                gammas.append(product(mask))
+                if mask in vanishing:
                     break
             else:
                 shape = tuple(sorted(map(id, gammas)))
@@ -205,7 +226,7 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
                     pairs = [weighted_pair(1, g) for g in gammas]
                     pairs += [weighted_pair(1, unit(z_space))] * (weight - count)
                     mu = mus[shape] = weighted_partition(z_space, pairs)
-                entry = (blocks, tuple(gammas), mu)
+                entry = (blocks, masks, tuple(gammas), mu)
                 walk.append(entry)
                 yield entry
     _last_walk = (key, tuple(walk))
@@ -225,7 +246,7 @@ def comparison_partitions(
     """
     return [
         (mu, blocks)
-        for blocks, _, mu in _comparison_lattice(z_space, tuple(betas), weight)
+        for blocks, _, _, mu in _comparison_lattice(z_space, tuple(betas), weight)
     ]
 
 
@@ -252,21 +273,30 @@ def comparison_rhs(
     invariants of (X, Z).  With ``require_hypothesis`` the minimal normal
     Chern number must dominate the number of transferred classes; pass
     False to exercise the formal identity outside that range.  The oracle
-    is asked once per distinct partition, in the order of first appearance.
+    is asked once per distinct partition, in the order of first appearance,
+    and the total adds count times value once per distinct partition; the
+    terms stay one per walk entry, in the walk's order.
     """
     alphas = tuple(alphas)
     betas = tuple(betas)
     if require_hypothesis:
         _check_hypothesis(cut, len(betas))
     weight = divisor_weight(cut, degree)
-    values: dict[WeightedPartition, Fraction] = {}
+    # [value, entries] per distinct partition, reached through the identity
+    # of the walk's shared partition object after its first entry.
+    groups: dict[WeightedPartition, list] = {}
+    by_object: dict[int, list] = {}
     terms = []
-    for mu, blocks in comparison_partitions(cut.divisor.divisor, betas, weight):
-        value = values.get(mu)
-        if value is None:
-            value = values[mu] = rel_oracle(degree, alphas, mu)
-        terms.append((mu, blocks, value))
-    total = sum((v for _, _, v in terms), Fraction(0))
+    for blocks, _, _, mu in _comparison_lattice(cut.divisor.divisor, betas, weight):
+        group = by_object.get(id(mu))
+        if group is None:
+            group = groups.get(mu)
+            if group is None:
+                group = groups[mu] = [rel_oracle(degree, alphas, mu), 0]
+            by_object[id(mu)] = group
+        group[1] += 1
+        terms.append((mu, blocks, group[0]))
+    total = sum((count * value for value, count in groups.values()), Fraction(0))
     return total, terms
 
 
@@ -337,8 +367,8 @@ def solve_relative(
     merged products; a grouping with a zero product is not in the walk and
     counts 0.  So the subtraction, too, depends only on the multiset.
 
-    Every entry records the value under its tuple of block bitmasks, the
-    key coarser lookups read (see ``_subtract_coarsenings``).
+    Every entry records the value under the block bitmasks the walk hands
+    it, the key coarser lookups read (see ``_subtract_coarsenings``).
     """
     alphas = tuple(alphas)
     betas = tuple(betas)
@@ -350,9 +380,8 @@ def solve_relative(
     values: dict[tuple[WeightedPartition, int], Fraction] = {}
     solved: dict[tuple[int, ...], Fraction] = {}
     table: dict[WeightedPartition, Fraction] = {}
-    for blocks, gammas, mu in _comparison_lattice(z_space, betas, weight):
-        masks = tuple(sum(1 << i for i in block) for block in blocks)
-        key = (mu, len(blocks))
+    for blocks, masks, gammas, mu in _comparison_lattice(z_space, betas, weight):
+        key = (mu, len(masks))
         value = values.get(key)
         if value is None:
             insertions = alphas + tuple(

@@ -164,21 +164,47 @@ def _reference_partitions(z, betas, weight):
     return out
 
 
-@pytest.mark.parametrize("name", ["p1-pt", "p2-line", "p2-in-p3"])
+# Transfers drawn from the divisor's basis, up to this many: {1} on the
+# point, {1, h} on P^1, {1, h, h^2} on P^2 and {1, h, h^2, h^3} on P^3.
+_REFERENCE_WALK_SIZES = {"p1-pt": 7, "p2-line": 7, "p2-in-p3": 6, "p3-in-p4": 6}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_WALK_SIZES))
 def test_comparison_partitions_match_reference(name):
-    # Same entries, same order, same repeats as the per-block products, for
-    # up to six transfers from the basis: {1} on the point, {1, h} on P^1,
-    # and {1, h, h^2} on P^2, where partitions into equally many blocks can
-    # have different multisets of block products.
-    if name == "p2-in-p3":
+    # Same entries, same order, same repeats as the per-block products.  On
+    # P^2 and P^3 partitions into equally many blocks can have different
+    # multisets of block products, and on P^3 blocks of h^2 and h^3 vanish
+    # in more ways.
+    if name.endswith("-in-p3"):
         z = ring.hyperplane_divisor(3).divisor
+    elif name.endswith("-in-p4"):
+        z = ring.hyperplane_divisor(4).divisor
     else:
         z = named_testbed(name).divisor.divisor
-    for betas in _beta_families(z, 6):
+    for betas in _beta_families(z, _REFERENCE_WALK_SIZES[name]):
         for weight in range(1, 5):
             assert comparison_partitions(z, betas, weight) == (
                 _reference_partitions(z, betas, weight)
             ), (name, betas, weight)
+
+
+def test_masked_partition_rows():
+    # Each row of the table pairs a partition of range(n) with its blocks'
+    # bitmasks, which are disjoint and together cover every item.
+    for n in range(10):
+        full = (1 << n) - 1
+        for count in range(n + 1):
+            rows = degeneration._masked_partitions(n, count)
+            assert [blocks for blocks, _ in rows] == list(
+                degeneration._index_partitions(n, count)
+            )
+            for blocks, masks in rows:
+                assert masks == tuple(sum(1 << i for i in b) for b in blocks)
+                union = 0
+                for mask in masks:
+                    assert mask and not union & mask, (n, blocks)
+                    union |= mask
+                assert union == full, (n, blocks)
 
 
 def _count_calls(monkeypatch, modules, name):
@@ -474,6 +500,48 @@ def test_comparison_rhs_asks_the_oracle_once_per_partition():
         assert len(asked) == len(set(asked)) == len({mu for mu, _ in walk})
         distinct.append((len(walk), len(asked)))
     assert distinct == [(4140, 1), (36, 2)]
+
+
+def _signed_oracle(degree, alphas, mu):
+    """A relative oracle with values of both signs: each pair adds its
+    weight's coefficients, negated in odd complex degree."""
+    total = sum(
+        (-1) ** (pair.weight.homogeneous_degree() // 2) * c
+        for pair in mu.pairs
+        for _, c in pair.weight.terms()
+    )
+    return Fraction(total, aut_order(mu))
+
+
+@pytest.mark.parametrize("name", ["p1-pt", "p2-line", "p2-in-p3"])
+def test_comparison_rhs_total_is_the_sum_of_its_terms(name):
+    # The total is summed once per distinct weighted partition, count times
+    # value; it must equal the sum over the walk's entries.  The oracles are
+    # each solvable cell's table, a signed one and on p1-pt the closed form.
+    # On p2-line the betas -1 and 2pt solve to negative values, and the
+    # signed oracle gives terms of both signs, which cancel.
+    oracles = [_signed_oracle]
+    if name == "p1-pt":
+        oracles.append(closed_form_oracle(P1_CUT))
+    negative = mixed = 0
+    for cut, degree, alphas, betas in _solver_cells(name):
+        cell_oracles = list(oracles)
+        try:
+            table = solve_relative(cut, degree, alphas, betas, require_hypothesis=False)
+        except (AssertionError, UnsupportedQuery):
+            pass
+        else:
+            cell_oracles.append(table_oracle(table))
+        for oracle in cell_oracles:
+            total, terms = comparison_rhs(
+                cut, degree, alphas, betas, oracle, require_hypothesis=False
+            )
+            values = [value for _, _, value in terms]
+            assert total == sum(values, Fraction(0)), (name, degree, alphas, betas)
+            negative += min(values, default=0) < 0
+            mixed += min(values, default=0) < 0 < max(values, default=0)
+    if name != "p1-pt":
+        assert negative and mixed, (negative, mixed)
 
 
 def test_comparison_rhs_hypothesis_enforced():

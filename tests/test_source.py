@@ -1,9 +1,12 @@
 """Source checks: no runtime invariant may rest on `assert`, because
 `python -O` strips asserts; every function the traced benchmark wraps still
-exists; and every cache whose hit ratio it reports is still an lru_cache."""
+exists; every cache whose hit ratio it reports is still an lru_cache; and the
+repo's pytest configuration reports a failing property test and runs on."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,47 @@ def test_traced_benchmark_cache_ratios_read_lru_caches():
         if not hasattr(fn, "cache_info") or fn.__module__ != f"gwcalc.{module}":
             not_cached.append(key)
     assert not not_cached, "spans.py reads no lru_cache at: " + ", ".join(not_cached)
+
+
+PLANTED_TESTS = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_planted_failure(x):
+    raise ValueError("planted failure")
+
+
+def test_after_the_failure():
+    pass
+"""
+
+
+def test_failing_property_test_does_not_end_the_session(tmp_path):
+    # With every warning an error, a warning raised while hypothesis reports
+    # a failing @given test would end the session with INTERNALERROR, and
+    # the tests after it would never run.
+    (tmp_path / "test_planted.py").write_text(PLANTED_TESTS)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "pytest",
+            "-q",
+            "-c",
+            str(ROOT / "pyproject.toml"),
+            "--rootdir",
+            str(tmp_path),
+            "-p",
+            "no:cacheprovider",
+            "test_planted.py",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out, out
+    assert "1 failed, 1 passed" in out, out
+    assert proc.returncode == 1, out
