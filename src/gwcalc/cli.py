@@ -3,9 +3,10 @@
 Machine-readable JSON goes to stdout; a one-line human summary goes to
 stderr.  Exit codes: 0 for ok or a vanishing result, 1 for usage or
 parse errors, 2 for unsupported queries, 3 for violated hypotheses, 4 when
-`gw verify` finds a checked identity false; a stdout closed early (`gw ... |
-head`) leaves the exit code as it was.  `gw ring` takes at most one of --cup,
---dual and --quantum; `gw solve` takes only `relative`.
+`gw verify` finds a checked identity false, 5 when an internal invariant
+fails (a defect of the engine, reported in one line); a stdout closed early
+(`gw ... | head`) leaves the exit code as it was.  `gw ring` takes at most
+one of --cup, --dual and --quantum; `gw solve` takes only `relative`.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import battery, degeneration, partitions, quantum, relative, ring
-from .errors import HypothesisViolated, Inapplicable, UnsupportedQuery
+from .errors import HypothesisViolated, Inapplicable, InternalError, UnsupportedQuery
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNSUPPORTED = 2
 EXIT_HYPOTHESIS = 3
 EXIT_UNEQUAL = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -428,6 +430,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

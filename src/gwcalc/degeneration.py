@@ -232,24 +232,6 @@ def _comparison_lattice(z_space: Space, betas: tuple, weight: int):
     _last_walk = (key, tuple(walk))
 
 
-def comparison_partitions(
-    z_space: Space, betas, weight: int
-) -> list[tuple[WeightedPartition, tuple[tuple[int, ...], ...]]]:
-    """Weighted partitions appearing in the comparison identity.
-
-    One entry per set partition of the insertion indices into at most
-    ``weight`` blocks: each block contributes a transverse pair weighted by
-    the cup product of its classes, and the remaining tangency is filled
-    with unit-weighted pairs.  Partitions with a vanishing block product are
-    dropped.  Entries repeat when distinct set partitions produce equal
-    weighted partitions; the multiplicity is part of the identity.
-    """
-    return [
-        (mu, blocks)
-        for blocks, _, _, mu in _comparison_lattice(z_space, tuple(betas), weight)
-    ]
-
-
 def _check_hypothesis(cut: CutSpec, n_transfers: int) -> None:
     v = min_normal_chern(cut.divisor)
     if v < n_transfers:

@@ -3,7 +3,8 @@
 The oracles refuse rather than guess: a query outside the supported
 reductions raises ``UnsupportedQuery``, and a computation whose standing
 hypotheses fail raises ``HypothesisViolated`` or ``Inapplicable`` instead
-of returning a number.
+of returning a number.  A broken internal invariant raises ``InternalError``:
+it is a defect of the engine, never a property of the query.
 """
 
 
@@ -21,3 +22,8 @@ class HypothesisViolated(GWError):
 
 class Inapplicable(GWError):
     """The inputs are outside the range where the procedure is justified."""
+
+
+class InternalError(GWError, RuntimeError):
+    """An internal invariant failed: a result the engine computed is
+    impossible (a negative curve count, a class of the wrong degree)."""

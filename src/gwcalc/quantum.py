@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
 
-from .errors import UnsupportedQuery
+from .errors import InternalError, UnsupportedQuery
 from .ring import (
     PROJECTIVE,
     Partition,
@@ -165,7 +165,7 @@ def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClas
     for e, coeffs in acc.items():
         for idx, value in coeffs.items():
             if value < 0 or value.denominator != 1:
-                raise RuntimeError(
+                raise InternalError(
                     f"negative or fractional quantum coefficient at q^{e}"
                 )
         parts_out[e] = element(space, coeffs)
@@ -174,7 +174,7 @@ def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClas
     for e, elem in out.terms:
         for i, _ in elem.coeffs:
             if basis(space)[i].real_degree + 2 * e * n != total:
-                raise RuntimeError("graded leak")
+                raise InternalError("graded leak")
     return out
 
 
@@ -260,7 +260,7 @@ def _gw_basis(space: Space, degree: int, idxs: tuple[int, ...]) -> Fraction:
             rest.append(i)
     if _non_divisor_limit(space) is None:  # P^2: N_d takes any number of points
         if len(rest) != 3 * degree - 1:
-            raise RuntimeError("dimension rule should force this")
+            raise InternalError("dimension rule should force this")
         return factor * wdvv_nd(degree)
     parts = [basis_partition(space, i) for i in rest]
     return _structure_constant_value(space, degree, parts, factor)

@@ -1,8 +1,9 @@
 """Constructors the tests share and the engine itself never calls: the quantum
 product extended to q-polynomials, weighted partitions from plain tuples,
-and the zero section of P(L + O) as a divisor known only by its normal
-bundle."""
+the zero section of P(L + O) as a divisor known only by its normal bundle,
+and the comparison walk's entries as a list."""
 
+from gwcalc import degeneration
 from gwcalc.partitions import WeightedPartition, weighted_pair, weighted_partition
 from gwcalc.quantum import QuantumClass, quantum_class, rim_hook_product
 from gwcalc.relative import BundleSpec
@@ -61,3 +62,22 @@ def zero_section_divisor(bundle: BundleSpec) -> DivisorDescriptor:
         divisor_class=None,
         normal_c1=normal,
     )
+
+
+def comparison_partitions(z_space: Space, betas, weight: int) -> list:
+    """Weighted partitions appearing in the comparison identity, as
+    (mu, blocks) pairs in the order of the engine's lattice walk.
+
+    One entry per set partition of the insertion indices into at most
+    ``weight`` blocks: each block contributes a transverse pair weighted by
+    the cup product of its classes, and the remaining tangency is filled
+    with unit-weighted pairs.  Partitions with a vanishing block product are
+    dropped.  Entries repeat when distinct set partitions produce equal
+    weighted partitions; the multiplicity is part of the identity.
+    """
+    return [
+        (mu, blocks)
+        for blocks, _, _, mu in degeneration._comparison_lattice(
+            z_space, tuple(betas), weight
+        )
+    ]

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from gwcalc import degeneration
+from gwcalc import degeneration, quantum
 from gwcalc.cli import main
+from gwcalc.errors import GWError, InternalError
 from gwcalc.quantum import wdvv_nd
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -215,6 +216,31 @@ def test_hypothesis_violation_exit_code(capsys):
     code, out, _ = run(capsys, ["lift", "--testbed", "p2-line", "--degree", "2", "--k", "2"])
     assert code == 3
     assert json.loads(out)["status"] == "hypothesis-violated"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # A sign flipped on every rim hook makes a quantum coefficient negative.
+    # The positivity guard calls that an internal error: exit 5 and one line
+    # on stderr, no traceback and no partial table.
+    reduce = quantum._rim_reduce
+
+    def flipped(nu, rows, n):
+        reduced = reduce(nu, rows, n)
+        if reduced is None or reduced[1] == 0:
+            return reduced
+        sign, count, core = reduced
+        return -sign, count, core
+
+    monkeypatch.setattr(quantum, "_rim_reduce", flipped)
+    code, out, err = run(capsys, ["ring", "--space", "gr:2:4", "--quantum"])
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: negative or fractional quantum coefficient at q^1\n"
+
+
+def test_internal_error_is_a_gw_error():
+    assert issubclass(InternalError, GWError)
+    assert issubclass(InternalError, RuntimeError)
 
 
 def test_usage_error_exit_code(capsys):

@@ -19,7 +19,6 @@ from gwcalc.degeneration import (
     DegenerationTerm,
     ShriekInsertion,
     closed_form_oracle,
-    comparison_partitions,
     comparison_rhs,
     enumerate_terms,
     make_cut,
@@ -49,6 +48,8 @@ from gwcalc.relative import (
     make_fiber_query,
     relative_invariant,
 )
+
+from helpers import comparison_partitions
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 P1_CUT = named_testbed("p1-pt")

@@ -8,7 +8,8 @@ from itertools import product
 
 import pytest
 
-from gwcalc import ring
+from gwcalc import relative, ring
+from gwcalc.degeneration import testbed_cut as named_testbed, verify_comparison
 from gwcalc.errors import Inapplicable, UnsupportedQuery
 from gwcalc.partitions import WeightedPair, weighted_partition
 from gwcalc.relative import (
@@ -239,3 +240,42 @@ def test_min_normal_chern():
     assert min_normal_chern(zero_section_divisor(BundleSpec(P1, 2))) == 2
     # Trivial bundle: no positive pairing exists.
     assert min_normal_chern(zero_section_divisor(BundleSpec(P1, 0))) == math.inf
+
+
+def test_min_normal_chern_searches_once_per_divisor(monkeypatch):
+    # V depends on the divisor alone; every checked solve, right-hand side
+    # and lift asks for it, and only the first ask runs the search.
+    searched = []
+    search = relative.nonzero_invariant_in_degree
+
+    def counted(space, degree):
+        searched.append((space, degree))
+        return search(space, degree)
+
+    monkeypatch.setattr(relative, "nonzero_invariant_in_degree", counted)
+    relative._min_normal_chern.cache_clear()
+    cut = named_testbed("p2-line")
+    pt = ring.point_class(cut.divisor.ambient)
+    for _ in range(3):
+        report = verify_comparison(cut, 1, [pt, pt], [ring.unit(cut.divisor.divisor)])
+        assert report.equal is True and report.lhs == 1
+    # On the line, degree 1 carries a nonzero invariant and V = 1, so no
+    # higher degree can lower it.
+    assert searched == [(P1, 1)]
+    # An equal but distinct descriptor is a hit too.
+    assert min_normal_chern(ring.hyperplane_divisor(2)) == 1
+    assert len(searched) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_min_normal_chern_memo_matches_the_search(n):
+    # P^(n-1) in P^n, the point in P^1 included: the memoised value is the
+    # search's, on a cold and on a warm memo.
+    memo = relative._min_normal_chern
+    memo.cache_clear()
+    divisor = ring.hyperplane_divisor(n)
+    expected = memo.__wrapped__(divisor)
+    assert expected == (math.inf if n == 1 else 1)
+    assert min_normal_chern(divisor) == expected
+    assert min_normal_chern(ring.hyperplane_divisor(n)) == expected
+    assert memo.cache_info().misses == 1

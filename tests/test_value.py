@@ -39,7 +39,7 @@ from gwcalc.quantum import gw_invariant
 from gwcalc.relative import FiberClass, SectionClass, ZeroSection
 from gwcalc.value import Value
 
-from helpers import pairs_of
+from helpers import comparison_partitions, pairs_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 P1 = ring.projective_space(1)
@@ -183,7 +183,7 @@ def test_every_route_to_a_partition_gives_the_shared_object():
     x = cut.divisor.ambient
     for n_points, betas, parsed in ((3, [pt, one, one], 1), (5, [2 * one, 3 * one], 0)):
         alphas = [ring.point_class(x)] * n_points
-        walk = degeneration.comparison_partitions(z, betas, 2)
+        walk = comparison_partitions(z, betas, 2)
         table = solve_relative(cut, 2, alphas, betas, require_hypothesis=False)
         assert len(table) == 2 - parsed
         for mu in table:
