@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from math import factorial, prod
 
-from .ring import RingElement, Space
+from .ring import RingElement, Space, basis, by_label, parse_integer
 from .value import Value
 
 
@@ -202,8 +202,6 @@ def key_compare(a: InvariantKey, b: InvariantKey) -> Ordering:
 
 
 def weight_label(w: RingElement) -> str:
-    from .ring import basis
-
     bas = basis(w.space)
     bits = []
     for i, c in w.coeffs:
@@ -212,8 +210,6 @@ def weight_label(w: RingElement) -> str:
 
 
 def parse_partition(space: Space, text: str) -> WeightedPartition:
-    from .ring import by_label, parse_integer
-
     text = text.strip()
     if text in ("", "empty", "()"):
         return weighted_partition(space, ())

@@ -178,13 +178,6 @@ def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClas
     return out
 
 
-def _three_point(space: Space, la, lb, lc, degree: int) -> Fraction:
-    """Genus-zero three-point invariant from the quantum product."""
-    qc = rim_hook_product(tuple(la), tuple(lb), space)
-    dual = dual_basis(space)[partition_index(space, tuple(lc))]
-    return qc.coefficient(degree, dual.index)
-
-
 # ---------------------------------------------------------------------------
 # The absolute oracle.
 
@@ -285,7 +278,12 @@ def _structure_constant_value(space, degree, parts, factor) -> Fraction:
     while len(padded) < 3:
         padded.append((1,))
         factor /= degree
-    return factor * _three_point(space, *padded, degree)
+    # The three-point invariant: the coefficient of the third class's dual
+    # in the quantum product of the first two.
+    la, lb, lc = padded
+    qc = rim_hook_product(la, lb, space)
+    dual = dual_basis(space)[partition_index(space, lc)]
+    return factor * qc.coefficient(degree, dual.index)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +358,3 @@ def rc_certificate(space: Space, k_points: int, max_degree: int) -> Witness | No
         if witness is not None:
             return witness
     return None
-
-
-def nonzero_invariant_in_degree(space: Space, degree: int) -> Witness | None:
-    """A nonzero genus-zero invariant in the given curve degree, if the
-    bounded search finds one (used to detect stably effective classes)."""
-    return _certificate_in_degree(space, degree, 0)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import Inapplicable, UnsupportedQuery
 from .partitions import WeightedPartition, empty_partition, total_weight
-from .quantum import gw_invariant, nonzero_invariant_in_degree
+from .quantum import gw_invariant, rc_certificate
 from .ring import (
     POINT,
     DivisorDescriptor,
@@ -275,15 +275,10 @@ def min_normal_chern(divisor: DivisorDescriptor):
 # ring, quantum and degeneration.
 @lru_cache(maxsize=None)
 def _min_normal_chern(divisor: DivisorDescriptor):
-    z = divisor.divisor
-    if z.kind == POINT:
-        return math.inf
+    # The pairing nd * degree grows with the degree, so the least degree
+    # carrying a nonzero invariant gives the minimum.
     nd = normal_degree(divisor)
-    best = math.inf
-    for degree in range(1, MIN_CHERN_SEARCH_DEGREE + 1):
-        value = nd * degree
-        if value <= 0 or value >= best:
-            continue
-        if nonzero_invariant_in_degree(z, degree) is not None:
-            best = value
-    return best
+    if nd <= 0:
+        return math.inf
+    witness = rc_certificate(divisor.divisor, 0, MIN_CHERN_SEARCH_DEGREE)
+    return math.inf if witness is None else nd * witness.query.degree

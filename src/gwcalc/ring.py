@@ -132,20 +132,9 @@ class BasisClass(Value):
 @lru_cache(maxsize=None)
 def rectangle_partitions(rows: int, cols: int) -> tuple[Partition, ...]:
     """All partitions inside a rows x cols box, sorted by size then lex-descending."""
-    acc: list[Partition] = []
-
-    def grow(prefix: list[int], max_part: int) -> None:
-        acc.append(tuple(prefix))
-        if len(prefix) == rows:
-            return
-        for part in range(1, max_part + 1):
-            prefix.append(part)
-            grow(prefix, part)
-            prefix.pop()
-
-    grow([], cols)
-    acc.sort(key=lambda p: (sum(p), tuple(-x for x in p)))
-    return tuple(acc)
+    return tuple(
+        p for size in range(rows * cols + 1) for p in _partitions_exact(size, cols, rows)
+    )
 
 
 def _partition_label(space: Space, parts: Partition) -> str:
@@ -299,13 +288,6 @@ def by_label(space: Space, label: str) -> RingElement:
     for bc in basis(space):
         if bc.label == text:
             return basis_element(space, bc.index)
-    if space.kind == PROJECTIVE and text.startswith("h^"):
-        try:
-            power = parse_integer(text[2:])
-        except ValueError:
-            power = -1
-        if 0 <= power <= space.params[0]:
-            return basis_element(space, power)
     raise ValueError(f"unknown class label {text!r} for {space}")
 
 

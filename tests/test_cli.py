@@ -423,6 +423,18 @@ REL_P1 = ["rel", "--bundle", "p1:c1=1", "--class", "1F"]
             REL_P1 + ["--partition", "(1,id)", "--insertions", "zs:pt@tau+1"],
             "descendent suffix '@tau+1' must be '@tau<d>'",
         ),
+        (
+            ["ring", "--space", "pn:2", "--cup", "h^0,h"],
+            "unknown class label 'h^0' for pn:2",
+        ),
+        (
+            ["ring", "--space", "pn:2", "--cup", "h,h^1"],
+            "unknown class label 'h^1' for pn:2",
+        ),
+        (
+            ["abs", "--space", "pn:2", "--degree", "0", "--insertions", "h^02,1,1"],
+            "unknown class label 'h^02' for pn:2",
+        ),
     ],
     ids=[
         "rel-class",
@@ -442,6 +454,9 @@ REL_P1 = ["rel", "--bundle", "p1:c1=1", "--class", "1F"]
         "rel-class-plus",
         "rel-partition-space",
         "rel-tau-plus",
+        "ring-power-zero",
+        "ring-power-one",
+        "abs-power-zero-padded",
     ],
 )
 def test_non_integer_field_names_the_form(capsys, argv, message):

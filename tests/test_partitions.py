@@ -1,10 +1,13 @@
 """Weighted partitions: size and lexicographic comparisons, automorphism
-counts, the gluing factor, and the order on keys."""
+counts, the gluing factor, the order on keys, and what that order says about
+the comparison lattice's coarsenings."""
+
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gwcalc import ring
+from gwcalc import degeneration, ring
 from gwcalc.partitions import (
     InvariantKey,
     Ordering,
@@ -15,6 +18,7 @@ from gwcalc.partitions import (
     empty_partition,
     key_compare,
     lex_compare,
+    order_key,
     parse_partition,
     partition_to_text,
     size_compare,
@@ -226,6 +230,41 @@ def test_order_matches_clause_by_clause_reference(space):
     for a in keys:
         for b in keys:
             assert key_compare(a, b) is _reference_key(a, b), (a, b)
+
+
+@pytest.mark.parametrize(
+    "n, distinct, same",
+    [(1, 0, 180), (2, 0, 410), (3, 156, 794), (4, 573, 1280)],
+    ids=["p1-pt", "p2-line", "p2-in-p3", "p3-in-p4"],
+)
+def test_order_on_the_comparison_lattice(n, distinct, same):
+    # P^(n-1) in P^n at degrees 1-3, with 1-5 transfers drawn with
+    # repetition from the basis of Z.  A strict coarsening in the walk
+    # whose weighted partition differs is strictly smaller in the paper's
+    # order; but most coarsenings share their partition, so the solver's
+    # unknowns, one per set partition, are finer than the order's keys.
+    z = ring.hyperplane_divisor(n).divisor
+    classes = [ring.basis_element(z, bc.index) for bc in ring.basis(z)]
+    counts = {"distinct": 0, "same": 0}
+    for degree in range(1, 4):
+        for size in range(1, 6):
+            for betas in combinations_with_replacement(classes, size):
+                walk = list(degeneration._comparison_lattice(z, betas, degree))
+                mu_of = {masks: mu for _, masks, _, mu in walk}
+                for _, masks, _, mu in walk:
+                    for count in range(1, len(masks)):
+                        for groups in degeneration._index_partitions(len(masks), count):
+                            coarser = tuple(sum(masks[g] for g in group) for group in groups)
+                            nu = mu_of.get(coarser)
+                            if nu is None:
+                                continue  # a vanishing block product: not in the walk
+                            if nu == mu:
+                                counts["same"] += 1
+                            else:
+                                counts["distinct"] += 1
+                                fine = order_key(InvariantKey(degree, (), mu))
+                                assert order_key(InvariantKey(degree, (), nu)) < fine
+    assert counts == {"distinct": distinct, "same": same}
 
 
 def test_comparisons_refuse_mixed_spaces():

@@ -20,7 +20,6 @@ from gwcalc.quantum import (
     gw_invariant,
     rc_certificate,
     rim_hook_product,
-    nonzero_invariant_in_degree,
     virtual_dimension,
     wdvv_nd,
 )
@@ -513,9 +512,9 @@ def test_extra_multisets_are_the_uncapped_list_cut_by_length(space):
 
 
 def test_nonzero_invariant_search():
-    assert nonzero_invariant_in_degree(P1, 1) is not None
-    assert nonzero_invariant_in_degree(P1, 2) is None
-    assert nonzero_invariant_in_degree(P2, 1) is not None
+    assert quantum._certificate_in_degree(P1, 1, 0) is not None
+    assert quantum._certificate_in_degree(P1, 2, 0) is None
+    assert quantum._certificate_in_degree(P2, 1, 0) is not None
 
 
 # ---------------------------------------------------------------------------

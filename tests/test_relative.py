@@ -246,22 +246,22 @@ def test_min_normal_chern_searches_once_per_divisor(monkeypatch):
     # V depends on the divisor alone; every checked solve, right-hand side
     # and lift asks for it, and only the first ask runs the search.
     searched = []
-    search = relative.nonzero_invariant_in_degree
+    search = relative.rc_certificate
 
-    def counted(space, degree):
-        searched.append((space, degree))
-        return search(space, degree)
+    def counted(space, k_points, max_degree):
+        searched.append((space, k_points, max_degree))
+        return search(space, k_points, max_degree)
 
-    monkeypatch.setattr(relative, "nonzero_invariant_in_degree", counted)
+    monkeypatch.setattr(relative, "rc_certificate", counted)
     relative._min_normal_chern.cache_clear()
     cut = named_testbed("p2-line")
     pt = ring.point_class(cut.divisor.ambient)
     for _ in range(3):
         report = verify_comparison(cut, 1, [pt, pt], [ring.unit(cut.divisor.divisor)])
         assert report.equal is True and report.lhs == 1
-    # On the line, degree 1 carries a nonzero invariant and V = 1, so no
-    # higher degree can lower it.
-    assert searched == [(P1, 1)]
+    # One certificate search with no point insertions, up to the search
+    # degree; on the line it stops at degree 1, so V = 1.
+    assert searched == [(P1, 0, 3)]
     # An equal but distinct descriptor is a hit too.
     assert min_normal_chern(ring.hyperplane_divisor(2)) == 1
     assert len(searched) == 1

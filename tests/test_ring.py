@@ -35,6 +35,19 @@ def test_grassmannian_basis_is_rectangle():
     labels = [b.label for b in ring.basis(g)]
     assert labels == ["1", "s1", "s2", "s11", "s21", "s22"]
     assert g.complex_dimension == 4
+    # Every box up to 6 x 6 lists each of its partitions once, sorted by
+    # size then lex-descending; the reference filters all tuples of parts.
+    for rows, cols in product(range(7), repeat=2):
+        expected = sorted(
+            (
+                p
+                for length in range(rows + 1)
+                for p in product(range(cols, 0, -1), repeat=length)
+                if all(a >= b for a, b in zip(p, p[1:]))
+            ),
+            key=lambda p: (sum(p), tuple(-x for x in p)),
+        )
+        assert ring.rectangle_partitions(rows, cols) == tuple(expected)
 
 
 @pytest.mark.parametrize("bad", [("pn", 0), ("gr", 0, 3), ("gr", 3, 3)])
