@@ -330,7 +330,9 @@ def _partitions_exact(n: int, max_part: int, max_len: int):
 
 def _count_lr_tableaux(nu: Partition, lam: Partition, mu: Partition) -> int:
     """Number of fillings of nu/lam with content mu that are semistandard and
-    whose reverse reading word is a lattice word.
+    whose reverse reading word is a lattice word: the Littlewood-Richardson
+    coefficient c^nu_{lam,mu}, for nu containing lam.  It is 0 when nu does
+    not contain mu; lr_expansion never asks for those shapes.
 
     Cells are filled rows top-to-bottom and right-to-left within a row, which
     is exactly reverse reading order, so the lattice condition can be enforced
@@ -381,7 +383,11 @@ def _count_lr_tableaux(nu: Partition, lam: Partition, mu: Partition) -> int:
 @lru_cache(maxsize=None)
 def lr_expansion(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """The product of two Schur classes as a sum over partitions with
-    Littlewood-Richardson multiplicities (no rectangle truncation)."""
+    Littlewood-Richardson multiplicities (no rectangle truncation).
+
+    c^nu_{lam,mu} vanishes unless nu contains lam (Fulton, Young Tableaux,
+    section 5), and c^nu_{lam,mu} = c^nu_{mu,lam}, so it vanishes unless nu
+    contains mu too; tableaux are counted only on shapes containing both."""
     lam, mu = tuple(lam), tuple(mu)
     if not mu:
         return ((lam, 1),)
@@ -392,7 +398,7 @@ def lr_expansion(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], 
     max_len = len(lam) + len(mu)
     out = []
     for nu in _partitions_exact(total, max_part, max_len):
-        if not _contains(nu, lam):
+        if not (_contains(nu, lam) and _contains(nu, mu)):
             continue
         c = _count_lr_tableaux(nu, lam, mu)
         if c:

@@ -3,12 +3,14 @@ map's projection formula.  tests/test_schubert_oracles.py checks every cup
 product with n <= 7 against an independent quantum Pieri-Giambelli oracle."""
 
 import gc
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from gwcalc import ring
+from gwcalc import quantum, ring
+from helpers import box_pairs, check_lr_expansion
 
 
 SMALL_GRASSMANNIANS = [ring.grassmannian(2, 4), ring.grassmannian(1, 3), ring.grassmannian(2, 5)]
@@ -317,6 +319,40 @@ def test_lr_expansion_symmetric():
     # A classical multiplicity: s_21 * s_21 contains s_321 twice.
     table = dict(ring.lr_expansion((2, 1), (2, 1)))
     assert table[(3, 2, 1)] == 2
+
+
+def test_lr_expansion_matches_reference_on_every_box_up_to_n6():
+    # The reference counts tableaux on every shape containing the first
+    # factor; the engine skips shapes that miss the second one as well.
+    assert check_lr_expansion(box_pairs(6)) == 352
+
+
+def test_lr_expansion_matches_reference_on_seeded_4x4_pairs():
+    parts = ring.rectangle_partitions(4, 4)
+    pairs = random.Random(4).sample(list(combinations_with_replacement(parts, 2)), 20)
+    assert check_lr_expansion(pairs) == 20
+
+
+def test_lr_tableaux_counted_only_on_shapes_containing_both_factors(monkeypatch):
+    lam, mu = (4, 3, 3, 2), (4, 4, 3, 3)
+    seen = []
+    count = ring._count_lr_tableaux
+
+    def spy(nu, inner, content):
+        seen.append(nu)
+        return count(nu, inner, content)
+
+    monkeypatch.setattr(ring, "_count_lr_tableaux", spy)
+    # The uncached expansion, so every tableau count of this product runs.
+    monkeypatch.setattr(quantum, "lr_expansion", ring.lr_expansion.__wrapped__)
+    # mu contains lam, so each order drops a different half of the check.
+    for a, b in ((lam, mu), (mu, lam)):
+        seen.clear()
+        quantum.rim_hook_product(a, b, ring.grassmannian(4, 8))
+        assert all(ring._contains(nu, lam) and ring._contains(nu, mu) for nu in seen)
+        # 428 shapes contain lam; the 65 of them that miss mu are never counted.
+        assert len(seen) == 363
+    assert len(ring.lr_expansion(lam, mu)) == 275
 
 
 def test_lr_tableau_count_leaves_no_cycle_for_the_collector():
