@@ -264,18 +264,14 @@ def comparison_rhs(
     if require_hypothesis:
         _check_hypothesis(cut, len(betas))
     weight = divisor_weight(cut, degree)
-    # [value, entries] per distinct partition, reached through the identity
-    # of the walk's shared partition object after its first entry.
+    # [value, entries] per distinct partition; the walk's partitions are
+    # shared objects with cached hashes, so each lookup is by identity.
     groups: dict[WeightedPartition, list] = {}
-    by_object: dict[int, list] = {}
     terms = []
     for blocks, _, _, mu in _comparison_lattice(cut.divisor.divisor, betas, weight):
-        group = by_object.get(id(mu))
+        group = groups.get(mu)
         if group is None:
-            group = groups.get(mu)
-            if group is None:
-                group = groups[mu] = [rel_oracle(degree, alphas, mu), 0]
-            by_object[id(mu)] = group
+            group = groups[mu] = [rel_oracle(degree, alphas, mu), 0]
         group[1] += 1
         terms.append((mu, blocks, group[0]))
     total = sum((count * value for value, count in groups.values()), Fraction(0))
@@ -302,7 +298,7 @@ def closed_form_oracle(cut: CutSpec):
             )
         alphas = tuple(alphas)
         total = Fraction(0)
-        for combo in _cartesian(*(a.terms() for a in alphas)) if alphas else [()]:
+        for combo in _cartesian(*(a.coeffs for a in alphas)):
             coeff = Fraction(1)
             insertions = []
             for idx, c in combo:

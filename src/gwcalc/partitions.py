@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from math import factorial, prod
 
-from .ring import RingElement, Space, basis, by_label, parse_integer
+from .ring import RingElement, Space, by_label, parse_integer, term_labels
 from .value import Value
 
 
@@ -201,14 +201,6 @@ def key_compare(a: InvariantKey, b: InvariantKey) -> Ordering:
 # Text and JSON forms: "(2,1)+(1,pt)" and [{"m": 2, "label": "1"}, ...].
 
 
-def weight_label(w: RingElement) -> str:
-    bas = basis(w.space)
-    bits = []
-    for i, c in w.coeffs:
-        bits.append(bas[i].label if c == 1 else f"{c}*{bas[i].label}")
-    return "+".join(bits) if bits else "0"
-
-
 def parse_partition(space: Space, text: str) -> WeightedPartition:
     text = text.strip()
     if text in ("", "empty", "()"):
@@ -230,7 +222,9 @@ def parse_partition(space: Space, text: str) -> WeightedPartition:
 def partition_to_text(mu: WeightedPartition) -> str:
     if not mu.pairs:
         return "empty"
-    return "+".join(f"({p.multiplicity},{weight_label(p.weight)})" for p in mu.pairs)
+    return "+".join(
+        f"({p.multiplicity},{'+'.join(term_labels(p.weight))})" for p in mu.pairs
+    )
 
 
 def empty_partition(space: Space) -> WeightedPartition:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import combinations_with_replacement, product as _cartesian
 
 from .errors import InternalError, UnsupportedQuery
 from .ring import (
@@ -27,7 +27,6 @@ from .ring import (
     cup,
     dual_basis,
     element,
-    in_box,
     integrate,
     lr_expansion,
     partition_index,
@@ -141,41 +140,31 @@ def rim_hook_product(lam: Partition, mu: Partition, space: Space) -> QuantumClas
 
     Classical Littlewood-Richardson expansion first, then each shape with at
     most rows rows is reduced by n-rim hooks with signs, n = rows + cols;
-    shapes with more rows die.  Surviving coefficients are honest curve
-    counts, so a negative or fractional one is an internal error.
+    shapes with more rows die.  A factor outside the box's basis is refused;
+    a reduced shape of the wrong degree, or a negative or fractional
+    coefficient (each is a curve count), is an internal error.
     """
+    lam, mu = tuple(lam), tuple(mu)
+    partition_index(space, lam)
+    partition_index(space, mu)
     rows, cols = space.box
     n = rows + cols
-    lam, mu = tuple(lam), tuple(mu)
-    for parts in (lam, mu):
-        if not in_box(parts, rows, cols) or list(parts) != sorted(parts, reverse=True) or any(
-            p < 1 for p in parts
-        ):
-            raise ValueError(f"partition {parts} does not fit in {rows}x{cols}")
+    total = sum(lam) + sum(mu)
     acc: dict[int, dict[int, Fraction]] = {}
     for nu, c in lr_expansion(lam, mu):
         reduced = _rim_reduce(nu, rows, n)
         if reduced is None:
             continue
         sign, count, core = reduced
+        if sum(core) + n * count != total:
+            raise InternalError("graded leak")
         level = acc.setdefault(count, {})
         idx = partition_index(space, core)
         level[idx] = level.get(idx, Fraction(0)) + sign * c
-    parts_out: dict[int, RingElement] = {}
     for e, coeffs in acc.items():
-        for idx, value in coeffs.items():
-            if value < 0 or value.denominator != 1:
-                raise InternalError(
-                    f"negative or fractional quantum coefficient at q^{e}"
-                )
-        parts_out[e] = element(space, coeffs)
-    out = quantum_class(space, parts_out)
-    total = 2 * (sum(lam) + sum(mu))
-    for e, elem in out.terms:
-        for i, _ in elem.coeffs:
-            if basis(space)[i].real_degree + 2 * e * n != total:
-                raise InternalError("graded leak")
-    return out
+        if any(value < 0 or value.denominator != 1 for value in coeffs.values()):
+            raise InternalError(f"negative or fractional quantum coefficient at q^{e}")
+    return quantum_class(space, {e: element(space, c) for e, c in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +212,7 @@ def _gw_invariant(space: Space, degree: int, insertions: tuple) -> Fraction:
     if sum(degs) != virtual_dimension(space, degree, len(insertions)):
         return Fraction(0)
     total = Fraction(0)
-    for combo in _cartesian(*(ins.terms() for ins in insertions)):
+    for combo in _cartesian(*(ins.coeffs for ins in insertions)):
         coeff = Fraction(1)
         idxs = []
         for i, c in combo:
@@ -298,21 +287,10 @@ def _extra_multisets(space: Space, budget: int, max_length: int | None):
     longest = budget // pool[0][1] if pool else 0
     if max_length is not None:
         longest = min(longest, max_length)
-
-    def grow(start: int, remaining: int, length: int):
-        if length == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for i in range(start, len(pool)):
-            index, step = pool[i]
-            if step * length > remaining:
-                return  # the pool ascends by degree: no later step is smaller
-            for rest in grow(i, remaining - step, length - 1):
-                yield (index,) + rest
-
     for length in range(longest + 1):
-        yield from grow(0, budget, length)
+        for combo in combinations_with_replacement(pool, length):
+            if sum(step for _, step in combo) == budget:
+                yield tuple(index for index, _ in combo)
 
 
 def _certificate_in_degree(space: Space, degree: int, k_points: int) -> Witness | None:

@@ -2,10 +2,11 @@
 
 Spaces are a point, projective spaces P^n, and Grassmannians Gr(k, n), each
 a box of rows x cols: 0 x 0, 1 x n (P^n is Gr(1, n+1)) and k x (n-k).  The
-basis is the Schubert classes of the partitions in the box, the cup product
-is the Littlewood-Richardson expansion cut to the box, and the Poincare dual
-of a class is its complement in the box (Fulton, Young Tableaux, section
-9.4).  Only the box, the descriptors and the labels depend on the kind.
+basis is the Schubert classes of the partitions in the box (``partition_index``
+alone decides membership), the cup product is the Littlewood-Richardson
+expansion cut to the box, and the Poincare dual of a class is its complement
+in the box (Fulton, Young Tableaux, section 9.4).  Only the box, the
+descriptors and the labels depend on the kind.
 
 Every value is immutable and every operation is a pure function, so the
 whole module is safe to share between threads without locks.  The
@@ -162,7 +163,12 @@ def basis_partition(space: Space, index: int) -> Partition:
 
 @lru_cache(maxsize=None)
 def partition_index(space: Space, parts: Partition) -> int:
-    return rectangle_partitions(*space.box).index(tuple(parts))
+    """The basis index of a partition: the one test of basis membership."""
+    try:
+        return rectangle_partitions(*space.box).index(tuple(parts))
+    except ValueError:
+        message = "partition {} does not fit in {}x{}".format(tuple(parts), *space.box)
+        raise ValueError(message) from None
 
 
 class RingElement(Value):
@@ -191,9 +197,6 @@ class RingElement(Value):
             return None
         return degs.pop() if degs else 0
 
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        return self.coeffs
-
     def __add__(self, other: "RingElement") -> "RingElement":
         _check_same_space(self, other)
         acc = dict(self.coeffs)
@@ -212,14 +215,15 @@ class RingElement(Value):
         return element(self.space, {i: q * c for i, c in self.coeffs})
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bas = basis(self.space)
-        bits = []
-        for i, c in self.coeffs:
-            lbl = bas[i].label
-            bits.append(lbl if c == 1 else f"{c}*{lbl}")
-        return " + ".join(bits)
+        return " + ".join(term_labels(self))
+
+
+def term_labels(a: RingElement) -> list[str]:
+    """Each term's basis label, after "<coefficient>*" unless that is 1."""
+    bas = basis(a.space)
+    return [
+        bas[i].label if c == 1 else f"{c}*{bas[i].label}" for i, c in a.coeffs
+    ] or ["0"]
 
 
 def _check_same_space(a: RingElement, b: RingElement) -> None:
@@ -532,8 +536,6 @@ def shriek_pushforward(div: DivisorDescriptor, beta: RingElement) -> RingElement
         raise ValueError("divisor has no ambient model")
     if beta.space != div.divisor:
         raise ValueError("class does not live on the divisor")
-    if beta.is_zero():
-        return zero(div.ambient)
     if beta.homogeneous_degree() is None:
         raise ValueError("transfer needs a homogeneous class")
     out = zero(div.ambient)

@@ -238,6 +238,25 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "internal error: negative or fractional quantum coefficient at q^1\n"
 
 
+def test_graded_leak_exit_code(capsys, monkeypatch):
+    # One hook too many on every reduced shape puts it in the wrong degree;
+    # the grading check sees it as the shape is accumulated.
+    reduce = quantum._rim_reduce
+
+    def overcounted(nu, rows, n):
+        reduced = reduce(nu, rows, n)
+        if reduced is None:
+            return None
+        sign, count, core = reduced
+        return sign, count + 1, core
+
+    monkeypatch.setattr(quantum, "_rim_reduce", overcounted)
+    code, out, err = run(capsys, ["ring", "--space", "gr:2:4", "--quantum"])
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: graded leak\n"
+
+
 def test_internal_error_is_a_gw_error():
     assert issubclass(InternalError, GWError)
     assert issubclass(InternalError, RuntimeError)

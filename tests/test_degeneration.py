@@ -509,7 +509,7 @@ def _signed_oracle(degree, alphas, mu):
     total = sum(
         (-1) ** (pair.weight.homogeneous_degree() // 2) * c
         for pair in mu.pairs
-        for _, c in pair.weight.terms()
+        for _, c in pair.weight.coeffs
     )
     return Fraction(total, aut_order(mu))
 
@@ -674,7 +674,7 @@ def _raised(x, beta):
     """The transfer of a class of P^(n-1) into P^n, written out: h^i goes to
     h^(i+1), independently of the divisor's transfer table."""
     return sum(
-        (c * ring.basis_element(x, i + 1) for i, c in beta.terms()), ring.zero(x)
+        (c * ring.basis_element(x, i + 1) for i, c in beta.coeffs), ring.zero(x)
     )
 
 

@@ -92,6 +92,13 @@ def test_aut_and_delta_examples():
     distinct = pairs_of(P1, [(1, ONE), (1, PT)])
     assert aut_order(distinct) == 1
     assert delta_factor(distinct) == 1
+    # c equal pairs have c! automorphisms, not c: the two differ from c = 3.
+    three_pts = pairs_of(P1, [(1, PT)] * 3)
+    assert aut_order(three_pts) == 6
+    assert delta_factor(three_pts) == 6
+    mixed = pairs_of(P1, [(1, PT)] * 3 + [(2, ONE)] * 2)
+    assert aut_order(mixed) == 12
+    assert delta_factor(mixed) == 48
 
 
 def test_total_weight():

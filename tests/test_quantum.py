@@ -3,6 +3,7 @@ independently coded recursion, rim-hook products, and certificate search."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -289,10 +290,23 @@ def test_rim_hook_known_relations():
 
 
 def test_rim_hook_rejects_bad_partitions():
-    with pytest.raises(ValueError):
-        rim_hook_product((3,), (1,), G24)
-    with pytest.raises(ValueError):
-        rim_hook_product((1, 1), (1,), P2)
+    # The basis lookup is the one refusal: too wide, too tall, not weakly
+    # decreasing, a zero part.  Either factor may be the bad one.
+    for space, parts in (
+        (G24, (3,)),
+        (P2, (1, 1)),
+        (G24, (1, 2)),
+        (G24, (1, 0)),
+    ):
+        message = f"partition {parts} does not fit in"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ring.partition_index(space, parts)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rim_hook_product(parts, (1,), space)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rim_hook_product((1,), parts, space)
+    with pytest.raises(ValueError, match=r"^partition \(3,\) does not fit in 2x2$"):
+        ring.partition_index(G24, (3,))
 
 
 def test_rim_hook_coefficients_nonnegative():
@@ -384,6 +398,47 @@ def test_quantum_associativity_and_commutativity(k, n):
             assert ab == star(b, a)
             for c in lifts:
                 assert star(ab, c) == star(a, star(b, c))
+
+
+def _times(products, terms):
+    """A q-polynomial of (q power, basis index, coefficient) triples times one
+    basis class, given that class's product with each basis class."""
+    out = {}
+    for e, i, x in terms:
+        for f, j, y in products[i]:
+            out[e + f, j] = out.get((e + f, j), 0) + x * y
+    return out
+
+
+def test_quantum_associativity_gr37_every_triple():
+    # Every one of the 42,875 basis triples of Gr(3,7), on the 35 x 35 table
+    # of basis products built once through rim_hook_product, whose
+    # coefficients are integers or it raises.
+    space = ring.grassmannian(3, 7)
+    parts = ring.rectangle_partitions(3, 4)
+    assert len(parts) == 35
+    table = [
+        [
+            tuple(
+                (e, i, int(c))
+                for e, elem in rim_hook_product(la, lb, space).terms
+                for i, c in elem.coeffs
+            )
+            for lb in parts
+        ]
+        for la in parts
+    ]
+    columns = list(zip(*table))
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            assert ab == table[b][a], (parts[a], parts[b])
+            for c, column in enumerate(columns):
+                # (a * b) * c against a * (b * c)
+                assert _times(column, ab) == _times(row, table[b][c]), (
+                    parts[a],
+                    parts[b],
+                    parts[c],
+                )
 
 
 def _cli_json(capsys, argv):

@@ -98,6 +98,22 @@ def test_vanishing_examples():
     q3 = make_section_query(BundleSpec(P1, 2), 1, [ZeroSection(pt)])
     assert zstar(q3) == 2 >= 1
     assert fiber_vanishing(q3) is True
+    # A pairing equal to the descendent total already pushes every
+    # integrand down to the base: a section class, and a fiber class with
+    # four special points.
+    q4 = make_section_query(BundleSpec(P1, 1), 1, [ZeroSection(pt)])
+    q5 = make_fiber_query(
+        bundle,
+        2,
+        [ZeroSection(pt, psi_power=1), Pullback(pt)],
+        pairs_of(P1, [(1, ring.unit(P1)), (1, ring.unit(P1))]),
+    )
+    for query, d in ((q4, 1), (q5, 2)):
+        assert zstar(query) == d
+        assert relative_invariant_with_reason(query) == (
+            0,
+            "dimension pushdown to the base moduli space",
+        )
 
 
 def test_vanishing_needs_nonnegative_bundle():

@@ -1,7 +1,8 @@
 """Source checks: no runtime invariant may rest on `assert`, because
 `python -O` strips asserts; every function the traced benchmark wraps still
-exists; every cache whose hit ratio it reports is still an lru_cache; and the
-repo's pytest configuration reports a failing property test and runs on."""
+exists; every cache whose hit ratio it reports is still an lru_cache; the
+repo's pytest configuration reports a failing property test and runs on; and
+every planted defect in tests/mutants.py still finds its anchor."""
 
 import ast
 import importlib
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gwcalc"
@@ -120,3 +123,15 @@ def test_failing_property_test_does_not_end_the_session(tmp_path):
     assert "INTERNALERROR" not in out, out
     assert "1 failed, 1 passed" in out, out
     assert proc.returncode == 1, out
+
+
+def test_every_mutant_anchor_occurs_once():
+    # tests/run_mutants.py plants each entry by replacing its anchor: one
+    # that moved would plant nothing, and one that repeats would change more
+    # than the rule it names.
+    names = [m.name for m in MUTANTS]
+    assert len(set(names)) == len(names)
+    counts = {m.name: (ROOT / m.file).read_text().count(m.anchor) for m in MUTANTS}
+    assert {name: n for name, n in counts.items() if n != 1} == {}
+    assert all(m.replacement != m.anchor and m.why for m in MUTANTS)
+    assert all(m.equivalent is None or m.equivalent.strip() for m in MUTANTS)
