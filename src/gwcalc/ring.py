@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .value import Value
 
@@ -163,11 +164,12 @@ def basis_partition(space: Space, index: int) -> Partition:
 
 @lru_cache(maxsize=None)
 def partition_index(space: Space, parts: Partition) -> int:
-    """The basis index of a partition: the one test of basis membership."""
+    """The basis index of a partition, given as a tuple: the one test of
+    basis membership."""
     try:
-        return rectangle_partitions(*space.box).index(tuple(parts))
+        return rectangle_partitions(*space.box).index(parts)
     except ValueError:
-        message = "partition {} does not fit in {}x{}".format(tuple(parts), *space.box)
+        message = "partition {} does not fit in {}x{}".format(parts, *space.box)
         raise ValueError(message) from None
 
 
@@ -315,20 +317,24 @@ def _box_complement(parts: Partition, rows: int, cols: int) -> Partition:
     return tuple(p for p in (cols - q for q in reversed(padded)) if p > 0)
 
 
-def _contains(outer: Partition, inner: Partition) -> bool:
-    return len(inner) <= len(outer) and all(
-        outer[i] >= inner[i] for i in range(len(inner))
-    )
+def _partitions_exact(n: int, max_part: int, max_len: int, floor: Partition = ()):
+    """The partitions of n with parts at most max_part and at most max_len
+    parts that contain ``floor``, lex-descending.
 
-
-def _partitions_exact(n: int, max_part: int, max_len: int):
+    Each part runs from the one before it (max_part for the first) down to
+    the floor's part in its row, and is capped so that what is left of n
+    can still cover the rest of the floor.  With no floor these are all the
+    partitions of n that fit the box, as rectangle_partitions lists them.
+    """
     if n == 0:
-        yield ()
+        if not floor:  # the empty shape contains only the empty floor
+            yield ()
         return
     if max_len == 0 or max_part == 0:
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_exact(n - first, first, max_len - 1):
+    low, rest_floor = (floor[0], floor[1:]) if floor else (1, ())
+    for first in range(min(n - sum(rest_floor), max_part), low - 1, -1):
+        for rest in _partitions_exact(n - first, first, max_len - 1, rest_floor):
             yield (first,) + rest
 
 
@@ -387,23 +393,22 @@ def _count_lr_tableaux(nu: Partition, lam: Partition, mu: Partition) -> int:
 @lru_cache(maxsize=None)
 def lr_expansion(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """The product of two Schur classes as a sum over partitions with
-    Littlewood-Richardson multiplicities (no rectangle truncation).
+    Littlewood-Richardson multiplicities (no rectangle truncation).  The
+    partitions are tuples, as the memo needs them hashable.
 
     c^nu_{lam,mu} vanishes unless nu contains lam (Fulton, Young Tableaux,
     section 5), and c^nu_{lam,mu} = c^nu_{mu,lam}, so it vanishes unless nu
-    contains mu too; tableaux are counted only on shapes containing both."""
-    lam, mu = tuple(lam), tuple(mu)
+    contains mu too.  The enumerator's floor is the row-wise maximum of lam
+    and mu, so it yields only the shapes that contain both, and tableaux are
+    counted on each."""
     if not mu:
         return ((lam, 1),)
     if not lam:
         return ((mu, 1),)
+    union = tuple(map(max, zip_longest(lam, mu, fillvalue=0)))
     total = sum(lam) + sum(mu)
-    max_part = lam[0] + mu[0]
-    max_len = len(lam) + len(mu)
     out = []
-    for nu in _partitions_exact(total, max_part, max_len):
-        if not (_contains(nu, lam) and _contains(nu, mu)):
-            continue
+    for nu in _partitions_exact(total, lam[0] + mu[0], len(lam) + len(mu), union):
         c = _count_lr_tableaux(nu, lam, mu)
         if c:
             out.append((nu, c))

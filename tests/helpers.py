@@ -1,11 +1,12 @@
 """Constructors the tests share and the engine itself never calls: the quantum
 product extended to q-polynomials, weighted partitions from plain tuples,
 the zero section of P(L + O) as a divisor known only by its normal bundle,
-the comparison walk's entries as a list, and the Littlewood-Richardson
-expansion with only the inner-shape filter, as a reference for the engine's
-(checked on every box with n <= 6 in the suite, n <= 8 in CI)."""
+the comparison walk's entries as a list, partition containment, and, as
+references for the engine, the Littlewood-Richardson expansion with only the
+inner-shape filter and the shapes its enumerator must yield (each checked on
+every box with n <= 6 in the suite, n <= 8 in CI)."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
 
 from gwcalc import degeneration, ring
 from gwcalc.partitions import WeightedPartition, weighted_pair, weighted_partition
@@ -87,6 +88,13 @@ def comparison_partitions(z_space: Space, betas, weight: int) -> list:
     ]
 
 
+def contains(outer, inner) -> bool:
+    """Whether the partition outer contains inner, row by row."""
+    return len(inner) <= len(outer) and all(
+        outer[i] >= inner[i] for i in range(len(inner))
+    )
+
+
 def lr_expansion_reference(lam, mu):
     """The Littlewood-Richardson expansion with only the lam-in-nu filter:
     a tableau count on every shape of the right size that contains lam."""
@@ -99,7 +107,7 @@ def lr_expansion_reference(lam, mu):
     for nu in ring._partitions_exact(
         sum(lam) + sum(mu), lam[0] + mu[0], len(lam) + len(mu)
     ):
-        if not ring._contains(nu, lam):
+        if not contains(nu, lam):
             continue
         c = ring._count_lr_tableaux(nu, lam, mu)
         if c:
@@ -126,3 +134,29 @@ def check_lr_expansion(pairs) -> int:
             if ring.lr_expansion(a, b) != lr_expansion_reference(a, b):
                 raise AssertionError(f"lr_expansion{(a, b)} differs from the reference")
     return len(pairs)
+
+
+def lr_shapes(lam, mu) -> tuple[tuple, list]:
+    """The arguments lr_expansion gives the shape enumerator for lam and mu,
+    with their floor (the row-wise maximum of lam and mu) last, and the
+    shapes it must yield: the floorless enumeration with those bounds,
+    filtered by containment of both factors, in order."""
+    floor = tuple(max(a, b) for a, b in zip_longest(lam, mu, fillvalue=0))
+    bounds = (sum(lam) + sum(mu), lam[0] + mu[0], len(lam) + len(mu))
+    expected = [
+        nu for nu in ring._partitions_exact(*bounds)
+        if contains(nu, lam) and contains(nu, mu)
+    ]
+    return (*bounds, floor), expected
+
+
+def check_shape_enumerator(pairs) -> int:
+    """Assert that the floored shape enumerator yields, for each pair of
+    non-empty partitions, exactly the shapes containing both, in the
+    floorless order; returns the number of pairs checked."""
+    checked = [(lam, mu) for lam, mu in pairs if lam and mu]
+    for lam, mu in checked:
+        args, expected = lr_shapes(lam, mu)
+        if list(ring._partitions_exact(*args)) != expected:
+            raise AssertionError(f"shapes for {(lam, mu)} differ from the filtered ones")
+    return len(checked)

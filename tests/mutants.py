@@ -163,6 +163,35 @@ MUTANTS = (
         "an LR tableau's columns strictly increase",
     ),
     Mutant(
+        "lr-floor-union",
+        RING,
+        "    union = tuple(map(max, zip_longest(lam, mu, fillvalue=0)))",
+        "    union = lam",
+        "the LR shapes must contain both factors, so their floor is the "
+        "row-wise maximum of the two",
+    ),
+    Mutant(
+        "lr-floor-first-part",
+        RING,
+        "    low, rest_floor = (floor[0], floor[1:]) if floor else (1, ())",
+        "    low, rest_floor = (1, floor[1:]) if floor else (1, ())",
+        "each part of an enumerated shape is at least the floor's part in "
+        "its row",
+    ),
+    Mutant(
+        "lr-floor-room",
+        RING,
+        "    for first in range(min(n - sum(rest_floor), max_part), low - 1, -1):",
+        "    for first in range(min(n, max_part), low - 1, -1):",
+        "a part leaves the later parts room for the rest of the floor",
+        equivalent=(
+            "the cap prunes only branches that yield nothing: past it the "
+            "later parts cannot reach the rest of the floor, so each such "
+            "branch ends in an empty range or at the empty shape with a "
+            "floor left, which yields nothing"
+        ),
+    ),
+    Mutant(
         "duality-complement",
         RING,
         "    return tuple(p for p in (cols - q for q in reversed(padded)) if p > 0)",

@@ -309,6 +309,11 @@ def test_rim_hook_rejects_bad_partitions():
         ring.partition_index(G24, (3,))
 
 
+def test_rim_hook_product_converts_its_factors_to_tuples():
+    # The memoised ring functions below it take partitions as tuples only.
+    assert rim_hook_product([1], [1], G24) == rim_hook_product((1,), (1,), G24)
+
+
 def test_rim_hook_coefficients_nonnegative():
     for space in (G24, G13, ring.grassmannian(2, 5)):
         k, n = space.params

@@ -10,7 +10,13 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from gwcalc import quantum, ring
-from helpers import box_pairs, check_lr_expansion
+from helpers import (
+    box_pairs,
+    check_lr_expansion,
+    check_shape_enumerator,
+    contains,
+    lr_shapes,
+)
 
 
 SMALL_GRASSMANNIANS = [ring.grassmannian(2, 4), ring.grassmannian(1, 3), ring.grassmannian(2, 5)]
@@ -323,14 +329,56 @@ def test_lr_expansion_symmetric():
 
 def test_lr_expansion_matches_reference_on_every_box_up_to_n6():
     # The reference counts tableaux on every shape containing the first
-    # factor; the engine skips shapes that miss the second one as well.
+    # factor; the engine's enumerator yields no shape that misses the
+    # second one either.
     assert check_lr_expansion(box_pairs(6)) == 352
 
 
-def test_lr_expansion_matches_reference_on_seeded_4x4_pairs():
+def _seeded_4x4_pairs() -> list:
     parts = ring.rectangle_partitions(4, 4)
-    pairs = random.Random(4).sample(list(combinations_with_replacement(parts, 2)), 20)
-    assert check_lr_expansion(pairs) == 20
+    return random.Random(4).sample(list(combinations_with_replacement(parts, 2)), 20)
+
+
+def test_lr_expansion_matches_reference_on_seeded_4x4_pairs():
+    assert check_lr_expansion(_seeded_4x4_pairs()) == 20
+
+
+def test_lr_shapes_are_exactly_those_containing_both_factors(monkeypatch):
+    # The floored enumerator against the floorless one filtered by
+    # containment, then the shapes lr_expansion hands to the tableau count.
+    pairs = box_pairs(6) + _seeded_4x4_pairs()
+    assert check_shape_enumerator(pairs) == 320 + 20
+    seen = []
+
+    def spy(nu, inner, content):
+        seen.append(nu)
+        return 0
+
+    monkeypatch.setattr(ring, "_count_lr_tableaux", spy)
+    for lam, mu in pairs:
+        if lam and mu:
+            for a, b in ((lam, mu), (mu, lam)):
+                seen.clear()
+                ring.lr_expansion.__wrapped__(a, b)
+                assert seen == lr_shapes(a, b)[1], (a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_floorless_enumerator_is_every_partition_of_the_box(n):
+    for rows in range(n + 1):
+        cols = n - rows
+        # Weakly decreasing rows, zeros dropped, by size then lex-descending.
+        shapes = {
+            tuple(p for p in parts if p)
+            for parts in combinations_with_replacement(range(cols, -1, -1), rows)
+        }
+        expected = sorted(shapes, key=lambda p: (sum(p), [-x for x in p]))
+        floorless = [
+            p for size in range(rows * cols + 1)
+            for p in ring._partitions_exact(size, cols, rows, ())
+        ]
+        assert floorless == expected
+        assert list(ring.rectangle_partitions(rows, cols)) == expected
 
 
 def test_lr_tableaux_counted_only_on_shapes_containing_both_factors(monkeypatch):
@@ -349,7 +397,7 @@ def test_lr_tableaux_counted_only_on_shapes_containing_both_factors(monkeypatch)
     for a, b in ((lam, mu), (mu, lam)):
         seen.clear()
         quantum.rim_hook_product(a, b, ring.grassmannian(4, 8))
-        assert all(ring._contains(nu, lam) and ring._contains(nu, mu) for nu in seen)
+        assert all(contains(nu, lam) and contains(nu, mu) for nu in seen)
         # 428 shapes contain lam; the 65 of them that miss mu are never counted.
         assert len(seen) == 363
     assert len(ring.lr_expansion(lam, mu)) == 275
