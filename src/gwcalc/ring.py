@@ -5,8 +5,11 @@ a box of rows x cols: 0 x 0, 1 x n (P^n is Gr(1, n+1)) and k x (n-k).  The
 basis is the Schubert classes of the partitions in the box (``partition_index``
 alone decides membership), the cup product is the Littlewood-Richardson
 expansion cut to the box, and the Poincare dual of a class is its complement
-in the box (Fulton, Young Tableaux, section 9.4).  Only the box, the
-descriptors and the labels depend on the kind.
+in the box (Fulton, Young Tableaux, section 9.4).  The expansion takes
+Pieri's rule when a factor is one row or one column (conjugated to a row),
+so every product on P^n is closed form, and counts lattice tableaux
+otherwise.  Only the box, the descriptors and the labels depend on the
+kind.
 
 Every value is immutable and every operation is a pure function, so the
 whole module is safe to share between threads without locks.  The
@@ -303,7 +306,8 @@ def element_to_json(a: RingElement) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Littlewood-Richardson expansion, by counting lattice skew tableaux.
+# Littlewood-Richardson expansion: Pieri's rule when a factor is one row or
+# one column, lattice skew tableaux otherwise.
 
 
 def in_box(parts: Partition, rows: int, cols: int) -> bool:
@@ -336,6 +340,33 @@ def _partitions_exact(n: int, max_part: int, max_len: int, floor: Partition = ()
     for first in range(min(n - sum(rest_floor), max_part), low - 1, -1):
         for rest in _partitions_exact(n - first, first, max_len - 1, rest_floor):
             yield (first,) + rest
+
+
+def _conjugate(parts: Partition) -> Partition:
+    """The transposed partition: its rows are the columns of parts."""
+    return tuple(sum(1 for p in parts if p > i) for i in range(parts[0] if parts else 0))
+
+
+def _horizontal_strips(lam: Partition, p: int, room: int):
+    """The partitions nu that lam grows into by p boxes, no two in one
+    column: lam's first row grows to at most room, each later row to the
+    length in lam of the row above it, and one new row below lam takes at
+    most lam's last part."""
+    if not lam:
+        if p <= room:
+            yield (p,) if p else ()
+        return
+    first, rest = lam[0], lam[1:]
+    for grow in range(min(p, room - first), -1, -1):
+        for tail in _horizontal_strips(rest, p - grow, first):
+            yield (first + grow,) + tail
+
+
+def _pieri(lam: Partition, p: int):
+    """The shapes of s_lam * s_p, each with coefficient 1: lam plus a
+    horizontal p-strip.  The first row has no row above it, so it may take
+    all p boxes."""
+    return _horizontal_strips(lam, p, p + (lam[0] if lam else 0))
 
 
 def _count_lr_tableaux(nu: Partition, lam: Partition, mu: Partition) -> int:
@@ -396,15 +427,26 @@ def lr_expansion(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], 
     Littlewood-Richardson multiplicities (no rectangle truncation).  The
     partitions are tuples, as the memo needs them hashable.
 
-    c^nu_{lam,mu} vanishes unless nu contains lam (Fulton, Young Tableaux,
-    section 5), and c^nu_{lam,mu} = c^nu_{mu,lam}, so it vanishes unless nu
-    contains mu too.  The enumerator's floor is the row-wise maximum of lam
-    and mu, so it yields only the shapes that contain both, and tableaux are
-    counted on each."""
-    if not mu:
-        return ((lam, 1),)
-    if not lam:
-        return ((mu, 1),)
+    When either factor is a single row (p), every coefficient is 0 or 1: nu
+    runs over the horizontal p-strips added to the other factor (Pieri's
+    rule, Fulton, Young Tableaux, section 2.2), and the empty partition is
+    the row of length 0.  When either is a single column (1^p), conjugation
+    turns it into a row, so nu runs over the conjugates of the horizontal
+    p-strips on the other factor's conjugate.
+
+    Otherwise tableaux are counted.  c^nu_{lam,mu} vanishes unless nu
+    contains lam (Fulton, op. cit., section 5), and c^nu_{lam,mu} =
+    c^nu_{mu,lam}, so it vanishes unless nu contains mu too.  The
+    enumerator's floor is the row-wise maximum of lam and mu, so it yields
+    only the shapes that contain both, and tableaux are counted on each."""
+    for special, other in ((mu, lam), (lam, mu)):
+        if len(special) <= 1:
+            shapes = _pieri(other, sum(special))
+        elif special[0] == 1:
+            shapes = map(_conjugate, _pieri(_conjugate(other), len(special)))
+        else:
+            continue
+        return tuple((nu, 1) for nu in sorted(shapes))
     union = tuple(map(max, zip_longest(lam, mu, fillvalue=0)))
     total = sum(lam) + sum(mu)
     out = []

@@ -1,10 +1,11 @@
 """Constructors the tests share and the engine itself never calls: the quantum
 product extended to q-polynomials, weighted partitions from plain tuples,
 the zero section of P(L + O) as a divisor known only by its normal bundle,
-the comparison walk's entries as a list, partition containment, and, as
-references for the engine, the Littlewood-Richardson expansion with only the
-inner-shape filter and the shapes its enumerator must yield (each checked on
-every box with n <= 6 in the suite, n <= 8 in CI)."""
+the comparison walk's entries as a list, partition containment, the test
+for a row or column factor (the engine multiplies those by Pieri's rule),
+and, as references for the engine, the Littlewood-Richardson expansion with
+only the inner-shape filter and the shapes its enumerator must yield (each
+checked on every box with n <= 6 in the suite, n <= 8 in CI)."""
 
 from itertools import combinations_with_replacement, zip_longest
 
@@ -93,6 +94,12 @@ def contains(outer, inner) -> bool:
     return len(inner) <= len(outer) and all(
         outer[i] >= inner[i] for i in range(len(inner))
     )
+
+
+def is_row_or_column(parts) -> bool:
+    """Whether a partition is one row (p, or the empty row) or one column
+    (1^p): the factors lr_expansion multiplies by Pieri's rule."""
+    return len(parts) <= 1 or parts[0] == 1
 
 
 def lr_expansion_reference(lam, mu):

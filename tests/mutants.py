@@ -192,6 +192,39 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "lr-pieri-strip-cap",
+        RING,
+        "    for grow in range(min(p, room - first), -1, -1):",
+        "    for grow in range(min(p, room - first + 1), -1, -1):",
+        "a horizontal strip puts no two boxes in one column, so each row "
+        "grows at most to the length of the row above it",
+    ),
+    Mutant(
+        "lr-pieri-column-conjugate",
+        RING,
+        "            shapes = map(_conjugate, _pieri(_conjugate(other), len(special)))",
+        "            shapes = map(_conjugate, _pieri(other, len(special)))",
+        "a column factor multiplies as a row on the conjugate of the other "
+        "factor, and the shapes are conjugated back",
+    ),
+    Mutant(
+        "lr-pieri-column-test",
+        RING,
+        "        elif special[0] == 1:",
+        "        elif special[-1] == 1:",
+        "only a partition whose first part is 1 is a column; any other "
+        "takes the tableau count",
+    ),
+    Mutant(
+        "lr-pieri-both-orders",
+        RING,
+        "    for special, other in ((mu, lam), (lam, mu)):",
+        "    for special, other in ((mu, lam),):",
+        "a row or column factor in either place, the empty partition "
+        "included, takes Pieri's rule: the tableau count needs two non-empty "
+        "factors and is the slow path",
+    ),
+    Mutant(
         "duality-complement",
         RING,
         "    return tuple(p for p in (cols - q for q in reversed(padded)) if p > 0)",

@@ -15,6 +15,8 @@ from helpers import (
     check_lr_expansion,
     check_shape_enumerator,
     contains,
+    is_row_or_column,
+    lr_expansion_reference,
     lr_shapes,
 )
 
@@ -345,7 +347,9 @@ def test_lr_expansion_matches_reference_on_seeded_4x4_pairs():
 
 def test_lr_shapes_are_exactly_those_containing_both_factors(monkeypatch):
     # The floored enumerator against the floorless one filtered by
-    # containment, then the shapes lr_expansion hands to the tableau count.
+    # containment, then the shapes lr_expansion hands to the tableau count
+    # on every pair with no row or column factor (the others take Pieri's
+    # rule and count no tableaux).
     pairs = box_pairs(6) + _seeded_4x4_pairs()
     assert check_shape_enumerator(pairs) == 320 + 20
     seen = []
@@ -355,12 +359,56 @@ def test_lr_shapes_are_exactly_those_containing_both_factors(monkeypatch):
         return 0
 
     monkeypatch.setattr(ring, "_count_lr_tableaux", spy)
-    for lam, mu in pairs:
-        if lam and mu:
-            for a, b in ((lam, mu), (mu, lam)):
-                seen.clear()
-                ring.lr_expansion.__wrapped__(a, b)
-                assert seen == lr_shapes(a, b)[1], (a, b)
+    counted = [
+        (lam, mu) for lam, mu in pairs
+        if not (is_row_or_column(lam) or is_row_or_column(mu))
+    ]
+    assert len(counted) == 165 + 15
+    for lam, mu in counted:
+        for a, b in ((lam, mu), (mu, lam)):
+            seen.clear()
+            ring.lr_expansion.__wrapped__(a, b)
+            assert seen == lr_shapes(a, b)[1], (a, b)
+
+
+def test_row_and_column_products_take_pieri_without_a_tableau_search(monkeypatch):
+    # Every pair with a row or column factor that fits a box with n <= 7,
+    # in both orders, and every cup on P^1..P^6, whose classes are all rows:
+    # neither the shape enumerator nor the tableau count runs, and each
+    # expansion equals the tableau-counting reference.
+    pairs = [
+        (lam, mu) for lam, mu in box_pairs(7)
+        if is_row_or_column(lam) or is_row_or_column(mu)
+    ]
+    spaces = [ring.projective_space(n) for n in range(1, 7)]
+    for space in spaces:
+        ring.basis(space)  # the box enumeration runs before the spies
+    calls = []
+    monkeypatch.setattr(ring, "_count_lr_tableaux", lambda *args: calls.append(args))
+    monkeypatch.setattr(ring, "_partitions_exact", lambda *args: calls.append(args))
+    monkeypatch.setattr(ring, "lr_expansion", ring.lr_expansion.__wrapped__)
+    got = {
+        (a, b): ring.lr_expansion(a, b)
+        for lam, mu in pairs
+        for a, b in ((lam, mu), (mu, lam))
+    }
+    cups = {
+        (space, i, j): ring.element_to_json(
+            ring.cup.__wrapped__(
+                ring.basis_element(space, i), ring.basis_element(space, j)
+            )
+        )
+        for space in spaces
+        for i, j in product(range(space.box[1] + 1), repeat=2)
+    }
+    assert calls == []
+    monkeypatch.undo()
+    assert len(pairs) == 459 and len(cups) == 139
+    for (a, b), expansion in got.items():
+        assert expansion == lr_expansion_reference(a, b), (a, b)
+    for (space, i, j), value in cups.items():
+        want = {power_label(i + j): "1"} if i + j <= space.box[1] else {}
+        assert value == want, (space, i, j)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -410,7 +458,15 @@ def test_lr_tableau_count_leaves_no_cycle_for_the_collector():
     gc.disable()
     try:
         counts = [ring._count_lr_tableaux((3, 2, 1), (2, 1), (2, 1)) for _ in range(10)]
+        # A row and a column product, through the strip enumerator.
+        rows = [ring.lr_expansion.__wrapped__((2, 1), (2,)) for _ in range(10)]
+        columns = [ring.lr_expansion.__wrapped__((2, 1), (1, 1)) for _ in range(10)]
         assert gc.collect() == 0
     finally:
         gc.enable()
     assert counts == [2] * 10
+    # s21 s2 = s41 + s32 + s311 + s221 and s21 s11 = s32 + s311 + s221 + s2111.
+    assert rows == [(((2, 2, 1), 1), ((3, 1, 1), 1), ((3, 2), 1), ((4, 1), 1))] * 10
+    assert columns == [
+        (((2, 1, 1, 1), 1), ((2, 2, 1), 1), ((3, 1, 1), 1), ((3, 2), 1))
+    ] * 10

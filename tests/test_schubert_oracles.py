@@ -11,6 +11,13 @@ reduction or the cup product.  Pieri-Giambelli builds each product from
 special classes alone.  Duality swaps rows for columns, so a row bound that
 is off by one shows as a mismatch.  Each Seidel class sends a Schubert class
 to a single q^e times a Schubert class, which pins signs and q-degrees.
+
+For a pair with a row or column factor the engine's expansion is Pieri's
+rule as well (on the conjugates for a column), so on those pairs the oracle
+and the engine share the rule, though not the code: the oracle's ``pieri``
+reads the strips in the box through its own ``between``, the engine's grow
+the unbounded shape.  The tableau-counting reference in ``tests/helpers.py``
+stays their independent check there (``tests/test_ring.py``).
 """
 
 import random
